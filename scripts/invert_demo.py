@@ -1,8 +1,11 @@
 """Recover PDE coefficients from a noisy observation with a trained model.
 
-Expects the directory layout produced by scripts/overfit_small.py.
+Expects a run directory RUN holding the dataset in RUN/data and the
+checkpoint in RUN/checkpoint, as the CLI writes them:
 
-    python scripts/invert_demo.py --run runs/overfit --sample 0 --noise 0.001
+    pdedag gen --count 8 --out RUN/data
+    pdedag train --data RUN/data --out RUN --epochs 200
+    python scripts/invert_demo.py --run RUN --sample 0 --noise 0.001
 """
 
 import argparse
@@ -21,7 +24,7 @@ from pdedag.inverse import (InverseProblem, add_noise, build_inverse_template,
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--run", type=Path, default=Path("runs/overfit"))
+    parser.add_argument("--run", type=Path, required=True)
     parser.add_argument("--sample", type=int, default=0)
     parser.add_argument("--noise", type=float, default=0.0)
     parser.add_argument("--swarm", type=int, default=32)

@@ -53,11 +53,6 @@ def sequential_mode(enabled: bool = True):
         _SEQUENTIAL = prev
 
 
-def set_sequential(enabled: bool) -> None:
-    global _SEQUENTIAL
-    _SEQUENTIAL = enabled
-
-
 @contextlib.contextmanager
 def finite_checks(enabled: bool):
     global _CHECK_FINITE
@@ -152,10 +147,6 @@ def as_tensor(value, dtype=None) -> Tensor:
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float64)
     return Tensor(arr)
-
-
-def constant(value, like: Tensor) -> Tensor:
-    return Tensor(np.asarray(value, dtype=like.dtype))
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:

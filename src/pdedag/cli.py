@@ -9,6 +9,7 @@ merged configuration is echoed into the output directory. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -185,12 +186,8 @@ def _cmd_eval(args) -> int:
 
     params, model_cfg, _, _ = load_checkpoint(args.checkpoint)
     bundle = read_dataset(args.data)
-    if args.sequential:
-        ad.set_sequential(True)
-    try:
+    with ad.sequential_mode() if args.sequential else contextlib.nullcontext():
         metrics = evaluate(params, model_cfg, bundle.samples)
-    finally:
-        ad.set_sequential(False)
     doc = {"mean_relative_l2": metrics["mean"], "per_sample": metrics["per_sample"]}
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)

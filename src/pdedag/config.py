@@ -102,7 +102,6 @@ class TrainConfig:
     grad_clip: float | None = None
     augment: bool = True
     eval_every: int = 0      # 0 disables test-split evaluation during training
-    checkpoint_every: int = 0  # 0 means final checkpoint only
     sequential: bool = False  # bit-reproducible reductions (slower)
 
 

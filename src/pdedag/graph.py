@@ -49,10 +49,6 @@ class PdeGraph:
     def mod_indices(self) -> list[int]:
         return [self.node_types.index(f"m{i + 1}") for i in range(self.n_mod)]
 
-    @property
-    def patch_indices(self) -> list[int]:
-        return [self.node_types.index(f"p{i + 1}") for i in range(self.n_patches)]
-
     def type_ids(self) -> np.ndarray:
         """Integer type ids: core types first, then p1..pN, then m1..mL."""
         ids = np.empty(self.n_nodes, dtype=np.int64)
@@ -240,43 +236,40 @@ def _adjacency(graph: PdeGraph) -> np.ndarray:
     return a
 
 
+_UNREACHED = np.iinfo(np.int64).max
+
+
+def _path_lengths(graph: PdeGraph) -> np.ndarray:
+    """Uncapped directed shortest-path lengths from one all-sources BFS;
+    ``_UNREACHED`` where no path exists, 0 on the diagonal."""
+    n = graph.n_nodes
+    a = _adjacency(graph).astype(np.int64)
+    dist = np.full((n, n), _UNREACHED, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(n, dtype=bool)
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = ((frontier.astype(np.int64) @ a) > 0) & (dist == _UNREACHED)
+        dist[frontier] = d
+    return dist
+
+
+def _mask(dist: np.ndarray) -> np.ndarray:
+    reach = dist != _UNREACHED
+    return np.where(reach | reach.T, 0.0, MASK_SENTINEL)
+
+
 def shortest_paths(graph: PdeGraph, cap: int = PATH_CAP) -> np.ndarray:
     """Directed shortest-path matrix clamped to ``cap``; unreachable pairs
-    (and the diagonal of unreachable... none: phi(i,i)=0) get ``cap``."""
-    n = graph.n_nodes
-    a = _adjacency(graph)
-    phi = np.full((n, n), cap, dtype=np.int64)
-    np.fill_diagonal(phi, 0)
-    reached = np.eye(n, dtype=bool)
-    frontier = np.eye(n, dtype=bool)
-    for d in range(1, cap):
-        frontier = (frontier.astype(np.int64) @ a.astype(np.int64)) > 0
-        new = frontier & ~reached
-        if not new.any():
-            break
-        phi[new] = d
-        reached |= new
-    return phi
-
-
-def reachability(graph: PdeGraph) -> np.ndarray:
-    """Uncapped transitive closure including self-reachability."""
-    n = graph.n_nodes
-    a = _adjacency(graph)
-    reach = np.eye(n, dtype=bool) | a
-    while True:
-        nxt = reach | ((reach.astype(np.int64) @ reach.astype(np.int64)) > 0)
-        if (nxt == reach).all():
-            return reach
-        reach = nxt
+    get ``cap`` and the diagonal is 0."""
+    return np.minimum(_path_lengths(graph), cap)
 
 
 def connectivity_mask(graph: PdeGraph) -> np.ndarray:
     """0 where a directed path exists in either direction, else the
     MASK_SENTINEL stand-in for -inf."""
-    reach = reachability(graph)
-    connected = reach | reach.T
-    return np.where(connected, 0.0, MASK_SENTINEL)
+    return _mask(_path_lengths(graph))
 
 
 def graph_features(graph: PdeGraph, cap: int = PATH_CAP) -> GraphFeatures:
@@ -286,12 +279,8 @@ def graph_features(graph: PdeGraph, cap: int = PATH_CAP) -> GraphFeatures:
     for s, d in graph.edges:
         outdeg[s] += 1
         indeg[d] += 1
-    return GraphFeatures(
-        phi=shortest_paths(graph, cap),
-        mask=connectivity_mask(graph),
-        indeg=indeg,
-        outdeg=outdeg,
-    )
+    dist = _path_lengths(graph)
+    return GraphFeatures(phi=np.minimum(dist, cap), mask=_mask(dist), indeg=indeg, outdeg=outdeg)
 
 
 # --- canonicalisation -------------------------------------------------------

@@ -17,10 +17,7 @@ import numpy as np
 from . import dsl
 from .config import ModelConfig, PsoConfig
 from .datagen import PdeCoefficients, ast_from_coefficients
-from .model import ModelParams, compile_for_model
-from .decoder import decode
-from .encoder import encode
-from .graph import graph_features
+from .model import ModelParams, compile_for_model, grid_coords, model_forward
 from .training import relative_l2
 
 
@@ -110,7 +107,7 @@ def pso_minimize(
 class InverseProblem:
     template: dsl.Eq0              # AST with unbound coefficient slots
     observation: np.ndarray        # (n_t, n_x) noisy field
-    noise_level: float = 0.0
+    noise_level: float = 0.0       # recorded metadata; the objective never reads it
     subsample: int | None = 4096   # None scores the full grid
     subsample_seed: int = 0
     dt_data: float = 0.01
@@ -178,19 +175,13 @@ def recover_coefficients(
         sub_rng = np.random.default_rng(problem.subsample_seed)
         flat = sub_rng.choice(n_t * n_x, size=problem.subsample, replace=False)
     t_idx, x_idx = np.divmod(flat, n_x)
-    coords = np.stack(
-        [problem.dt_data * t_idx.astype(np.float64), -1.0 + 2.0 * x_idx.astype(np.float64) / n_x],
-        axis=1,
-    )
+    coords = grid_coords(t_idx, x_idx, n_x, problem.dt_data)
     targets = problem.observation[t_idx, x_idx]
 
     def objective(vec: np.ndarray) -> float:
         ast = dsl.bind_coefficients(problem.template, dict(zip(names, vec)))
-        graph = compile_for_model(ast, ic, model_cfg)
-        feats = graph_features(graph, cap=model_cfg.path_cap)
-        mu = encode(graph, params.encoder, model_cfg, feats=feats)
-        pred = decode(mu, coords, params.decoder).data
-        return relative_l2(pred, targets)
+        pred = model_forward(compile_for_model(ast, ic, model_cfg), coords, params, model_cfg)
+        return relative_l2(pred.data, targets)
 
     result = pso_minimize(objective, dim=len(names), cfg=pso_cfg, initial_positions=initial_positions)
     bounds = [[pso_cfg.bounds_lo, pso_cfg.bounds_hi] for _ in names]

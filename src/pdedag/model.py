@@ -1,8 +1,8 @@
-"""Full surrogate model: parameter registry, initialisation and forward pass."""
+"""Full surrogate model: parameter registry, initialisation, grid coordinates and forward pass."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -11,7 +11,18 @@ from .config import ModelConfig
 from .decoder import DecoderParams, decode, init_decoder_params
 from .dsl import Eq0
 from .encoder import EncoderParams, encode, init_encoder_params
-from .graph import PdeGraph, compile_pde, graph_features
+from .graph import PdeGraph, compile_pde
+
+
+def _walk(prefix: str, node):
+    if isinstance(node, Tensor):
+        yield prefix, node
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _walk(f"{prefix}.{i}", item)
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _walk(f"{prefix}.{f.name}" if prefix else f.name, getattr(node, f.name))
 
 
 @dataclass
@@ -20,38 +31,10 @@ class ModelParams:
     decoder: DecoderParams
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
-        """Stable declared order used by optimizers and checkpoints."""
-        enc, dec = self.encoder, self.decoder
-        out: list[tuple[str, Tensor]] = [
-            ("encoder.type_emb", enc.type_emb),
-            ("encoder.indeg_emb", enc.indeg_emb),
-            ("encoder.outdeg_emb", enc.outdeg_emb),
-            ("encoder.feat_w1", enc.feat_w1),
-            ("encoder.feat_b1", enc.feat_b1),
-            ("encoder.feat_w2", enc.feat_w2),
-            ("encoder.feat_b2", enc.feat_b2),
-            ("encoder.feat_w3", enc.feat_w3),
-            ("encoder.feat_b3", enc.feat_b3),
-            ("encoder.bias_fwd", enc.bias_fwd),
-            ("encoder.bias_bwd", enc.bias_bwd),
-        ]
-        for i, layer in enumerate(enc.layers):
-            for fname in ("w_q", "w_k", "w_v", "w_o", "b_o", "ffn_w1", "ffn_b1",
-                          "ffn_w2", "ffn_b2", "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta"):
-                out.append((f"encoder.layers.{i}.{fname}", getattr(layer, fname)))
-        if enc.final_gamma is not None:
-            out.append(("encoder.final_gamma", enc.final_gamma))
-            out.append(("encoder.final_beta", enc.final_beta))
-        for i, layer in enumerate(dec.layers):
-            for fname in ("w_in", "b_in", "w_h", "b_h"):
-                out.append((f"decoder.layers.{i}.{fname}", getattr(layer, fname)))
-            for net_name in ("scale_mlp", "shift_mlp"):
-                net = getattr(layer, net_name)
-                for fname in ("w1", "b1", "w2", "b2", "w3", "b3"):
-                    out.append((f"decoder.layers.{i}.{net_name}.{fname}", getattr(net, fname)))
-        out.append(("decoder.w_last", dec.w_last))
-        out.append(("decoder.b_last", dec.b_last))
-        return out
+        """Every tensor in dataclass field order, named by its attribute path
+        (list items as ``.i``, ``None`` fields skipped): the stable order
+        used by optimizers and checkpoints."""
+        return list(_walk("", self))
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_tensors()]
@@ -89,25 +72,23 @@ def compile_for_model(ast: Eq0, ic_values: np.ndarray, cfg: ModelConfig) -> PdeG
     return compile_pde(ast, ic_values, d_f=cfg.d_f, n_patches=cfg.n_patches, n_mod=cfg.n_mod)
 
 
+def grid_coords(t_idx, x_idx, n_x: int, dt_data: float = 0.01) -> np.ndarray:
+    """(K, 2) coordinates of grid points: t = dt_data * i, x = -1 + 2 * j / n_x."""
+    t = dt_data * np.asarray(t_idx, dtype=np.float64)
+    x = -1.0 + 2.0 * np.asarray(x_idx, dtype=np.float64) / n_x
+    return np.stack([t, x], axis=1)
+
+
 def model_forward(graph: PdeGraph, coords: np.ndarray, params: ModelParams, cfg: ModelConfig, dtype=np.float32) -> Tensor:
     """Predicted solution values at the given (t, x) coordinates."""
-    feats = graph_features(graph, cap=cfg.path_cap)
-    mu = encode(graph, params.encoder, cfg, feats=feats, dtype=dtype)
-    return decode(mu, coords, params.decoder)
+    return decode(encode(graph, params.encoder, cfg, dtype=dtype), coords, params.decoder)
 
 
 def predict_grid(ast: Eq0, ic_values: np.ndarray, params: ModelParams, cfg: ModelConfig,
                  n_t: int = 101, dt_data: float = 0.01, chunk: int = 8192) -> np.ndarray:
-    """Decode the full (n_t, n_x) grid, chunked to bound peak memory."""
-    graph = compile_for_model(ast, ic_values, cfg)
-    feats = graph_features(graph, cap=cfg.path_cap)
-    mu = encode(graph, params.encoder, cfg, feats=feats)
+    """Decode the full (n_t, n_x) grid: one encode, decoded in chunks to bound peak memory."""
+    mu = encode(compile_for_model(ast, ic_values, cfg), params.encoder, cfg)
     n_x = cfg.n_x
-    t = dt_data * np.arange(n_t, dtype=np.float64)
-    x = -1.0 + 2.0 * np.arange(n_x, dtype=np.float64) / n_x
-    tt, xx = np.meshgrid(t, x, indexing="ij")
-    coords = np.stack([tt.ravel(), xx.ravel()], axis=1)
-    rows = []
-    for lo in range(0, coords.shape[0], chunk):
-        rows.append(decode(mu, coords[lo : lo + chunk], params.decoder).data)
+    coords = grid_coords(*np.divmod(np.arange(n_t * n_x), n_x), n_x, dt_data)
+    rows = [decode(mu, coords[lo : lo + chunk], params.decoder).data for lo in range(0, len(coords), chunk)]
     return np.concatenate(rows).reshape(n_t, n_x)

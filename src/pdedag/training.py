@@ -13,7 +13,8 @@ from . import autodiff as ad
 from .autodiff import NonFiniteDetected, Tensor
 from .config import ModelConfig, TrainConfig
 from .datagen import PdeSample, ast_from_coefficients, augment_translate, sample_points
-from .model import ModelParams, compile_for_model, init_model_params, model_forward, predict_grid
+from .model import (ModelParams, compile_for_model, grid_coords, init_model_params, model_forward,
+                    predict_grid)
 
 
 class ZeroReference(ValueError):
@@ -128,20 +129,15 @@ def split_indices(n: int, test_fraction: float) -> tuple[list[int], list[int]]:
     """Deterministic train/test split by sample index hash."""
     cut = round(test_fraction * 100)
     test = [i for i in range(n) if _index_hash(i) % 100 < cut]
-    train = [i for i in range(n) if i not in set(test)]
+    test_set = set(test)
+    train = [i for i in range(n) if i not in test_set]
     return train, test
-
-
-def _grid_coords(t_idx, x_idx, n_x: int, dt_data: float = 0.01, x_lo: float = -1.0, length: float = 2.0) -> np.ndarray:
-    t = dt_data * t_idx.astype(np.float64)
-    x = x_lo + length * x_idx.astype(np.float64) / n_x
-    return np.stack([t, x], axis=1)
 
 
 def _sample_loss_inputs(sample: PdeSample, shift: int, rng, points: int, model_cfg: ModelConfig):
     shifted = augment_translate(sample, shift) if shift else sample
     t_idx, x_idx, values = sample_points(rng, shifted, count=points)
-    coords = _grid_coords(t_idx, x_idx, shifted.n_x)
+    coords = grid_coords(t_idx, x_idx, shifted.n_x)
     graph = compile_for_model(ast_from_coefficients(shifted.coefficients), shifted.ic, model_cfg)
     return graph, coords, values
 
@@ -177,9 +173,7 @@ def train(
     curve: list[dict] = []
     points = min(cfg.points_per_sample, samples[0].n_t * samples[0].n_x)
 
-    prev_sequential = ad._SEQUENTIAL
-    ad.set_sequential(cfg.sequential)
-    try:
+    with ad.sequential_mode(cfg.sequential):
         for epoch in range(cfg.epochs):
             lr = lr_at(epoch, cfg)
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, epoch]))
@@ -226,8 +220,6 @@ def train(
             if cfg.eval_every and test_idx and (epoch + 1) % cfg.eval_every == 0:
                 row["test_loss"] = evaluate(params, model_cfg, [samples[i] for i in test_idx])["mean"]
             curve.append(row)
-    finally:
-        ad.set_sequential(prev_sequential)
 
     result = TrainResult(params=params, curve=curve, final_train_loss=curve[-1]["train_loss"])
     if out_dir is not None:

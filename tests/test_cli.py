@@ -4,9 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from pdedag import autodiff as ad
 from pdedag.cli import run_cli
-from pdedag.config import SamplingConfig, SolverConfig
+from pdedag.config import ModelConfig, SamplingConfig, SolverConfig
+from pdedag.dataio import save_checkpoint
 from pdedag.datagen import generate_dataset
+from pdedag.model import init_model_params
 
 
 def _digest(path):
@@ -19,6 +22,8 @@ def _digest(path):
 
 
 SMALL = SolverConfig(n_x=64, n_t=11)
+TINY_MODEL = ModelConfig(d_f=8, n_patches=8, n_mod=2, d_e=16, n_layers=1, n_heads=2,
+                         ffn_dim=16, feat_hidden=16, d_h=8, hyper_hidden=16)
 
 
 @pytest.fixture(scope="module")
@@ -84,15 +89,23 @@ def test_corrupt_checkpoint_eval_exits_two(tmp_path, tiny_dataset):
     assert code == 2
 
 
+def test_eval_sequential_restores_the_callers_mode(tmp_path, tiny_dataset):
+    ckpt = save_checkpoint(tmp_path / "ckpt", init_model_params(TINY_MODEL, seed=0), TINY_MODEL)
+    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(tiny_dataset)]
+    with ad.sequential_mode(True):
+        assert run_cli(argv + ["--sequential"]) == 0
+        assert ad._SEQUENTIAL
+        assert run_cli(argv) == 0
+        assert ad._SEQUENTIAL
+    assert not ad._SEQUENTIAL
+    assert run_cli(argv + ["--sequential"]) == 0
+    assert not ad._SEQUENTIAL
+
+
 def test_infer_writes_grid(tmp_path):
     # train nothing: a freshly initialised checkpoint is enough to exercise
     # the infer path end to end
-    from pdedag.config import ModelConfig
-    from pdedag.dataio import save_checkpoint
-    from pdedag.model import init_model_params
-
-    cfg = ModelConfig(d_f=8, n_patches=8, n_mod=2, d_e=16, n_layers=1, n_heads=2,
-                      ffn_dim=16, feat_hidden=16, d_h=8, hyper_hidden=16)
+    cfg = TINY_MODEL
     params = init_model_params(cfg, seed=0)
     ckpt = save_checkpoint(tmp_path / "ckpt", params, cfg)
     ic_path = tmp_path / "ic.csv"
@@ -108,12 +121,7 @@ def test_infer_writes_grid(tmp_path):
 
 
 def test_infer_bad_coef_flag_is_usage_error(tmp_path):
-    from pdedag.config import ModelConfig
-    from pdedag.dataio import save_checkpoint
-    from pdedag.model import init_model_params
-
-    cfg = ModelConfig(d_f=8, n_patches=8, n_mod=2, d_e=16, n_layers=1, n_heads=2,
-                      ffn_dim=16, feat_hidden=16, d_h=8, hyper_hidden=16)
+    cfg = TINY_MODEL
     ckpt = save_checkpoint(tmp_path / "ckpt", init_model_params(cfg, seed=0), cfg)
     ic_path = tmp_path / "ic.csv"
     np.savetxt(ic_path, np.zeros((1, cfg.n_x)), delimiter=",")

@@ -256,6 +256,8 @@ def test_phi_and_mask_match_bfs_oracle_on_fuzzed_dags():
         assert np.array_equal(shortest_paths(g), phi)
         expected_mask = np.where(reach | reach.T, 0.0, MASK_SENTINEL)
         assert np.array_equal(connectivity_mask(g), expected_mask)
+        feats = graph_features(g)
+        assert np.array_equal(feats.phi, phi) and np.array_equal(feats.mask, expected_mask)
 
 
 # --- compiled-graph invariants over fuzzed ASTs -----------------------------

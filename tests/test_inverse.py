@@ -126,6 +126,28 @@ def test_recovery_self_consistency_with_truth_injection(micro_cfg):
     assert all(-3.0 <= v <= 3.0 for v in report.values.values())
 
 
+def test_reported_objective_is_model_forward_at_recovered_values(small_cfg, sine_ic):
+    from pdedag.datagen import ast_from_coefficients
+    from pdedag.dsl import bind_coefficients
+    from pdedag.model import compile_for_model, grid_coords, model_forward
+
+    params = init_model_params(small_cfg, seed=5)
+    coeffs = PdeCoefficients(c=np.array([[0.0, 0.8, 0, 0], [0.0, 0.0, -1.3, 0]]), nu=0.02)
+    ic = sine_ic(small_cfg.n_x)
+    clean = predict_grid(ast_from_coefficients(coeffs), ic, params, small_cfg, n_t=5)
+    observation = add_noise(clean.astype(np.float64), 0.05, np.random.default_rng(1))
+    template, _ = build_inverse_template(coeffs)
+    problem = InverseProblem(template=template, observation=observation, subsample=None, ic=ic)
+    report = recover_coefficients(problem, params, small_cfg, PsoConfig(swarm_size=5, iterations=3, seed=7))
+
+    n_t, n_x = observation.shape
+    coords = grid_coords(*np.divmod(np.arange(n_t * n_x), n_x), n_x)
+    graph = compile_for_model(bind_coefficients(template, report.values), ic, small_cfg)
+    pred = model_forward(graph, coords, params, small_cfg).data
+    assert report.objective == relative_l2(pred, observation.ravel())
+    assert report.objective == report.trace[-1]
+
+
 def test_report_serialisation(tmp_path):
     coeffs = PdeCoefficients(c=np.array([[0, 1.0, 0, 0], [0] * 4]), nu=0.0)
     template, names = build_inverse_template(coeffs)

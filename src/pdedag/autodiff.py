@@ -14,6 +14,9 @@ throughout:
 
 ``sequential_mode`` additionally routes matmuls through a fixed-loop-order
 einsum kernel so that results do not depend on how a batch was partitioned.
+``no_grad`` records nothing: every primitive returns a plain ``Tensor``
+without parents or adjoint, so forward-only passes (evaluation, inference,
+the inversion objective) free their intermediates as soon as they are used.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ MASK_SENTINEL = -1e9
 
 _CHECK_FINITE = True
 _SEQUENTIAL = False
+_NO_GRAD = False
 
 
 class ShapeMismatch(ValueError):
@@ -62,6 +66,18 @@ def finite_checks(enabled: bool):
         yield
     finally:
         _CHECK_FINITE = prev
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape: outputs carry no parents and no adjoint, whatever the inputs."""
+    global _NO_GRAD
+    prev = _NO_GRAD
+    _NO_GRAD = True
+    try:
+        yield
+    finally:
+        _NO_GRAD = prev
 
 
 class Tensor:
@@ -156,6 +172,8 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> None:
 
 def _make(data, parents, backward, op: str) -> Tensor:
     _finite_or_raise(data, op)
+    if _NO_GRAD:
+        return Tensor(data)
     requires = any(p.requires_grad for p in parents)
     return Tensor(
         data,
@@ -316,17 +334,22 @@ def gelu(a) -> Tensor:
 
 
 def leaky_relu_clip(a, slope: float = 0.2, lo: float = -256.0, hi: float = 256.0) -> Tensor:
-    """Leaky ReLU followed by clipping; kink subgradients take the left branch."""
+    """Leaky ReLU followed by clipping; kink subgradients take the left branch.
+
+    ``max(x, slope*x)`` is the leaky ReLU only for ``0 < slope <= 1``.
+    """
+    if not 0.0 < slope <= 1.0:
+        raise ValueError(f"slope must lie in (0, 1], got {slope}")
     a = as_tensor(a)
     x = a.data
-    out_data = np.clip(np.where(x >= 0, x, slope * x), lo, hi)
-    lower_kink = lo / slope
+    out_data = np.asarray(slope * x)  # a 0-d product is a scalar; in-place ops need an array
+    np.maximum(x, out_data, out=out_data)
+    np.clip(out_data, lo, hi, out=out_data)
 
     def backward(g):
-        grad = np.where(
-            x > hi, 0.0, np.where(x > 0, 1.0, np.where(x > lower_kink, slope, 0.0))
-        )
-        _accum(a, g * grad.astype(x.dtype))
+        pos = x > 0
+        grad = (pos + x.dtype.type(slope) * ((x > lo / slope) & ~pos)) * (x <= hi)
+        _accum(a, g * grad)
 
     return _make(out_data, (a,), backward, "leaky_relu_clip")
 

@@ -37,14 +37,14 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", type=Path, help="JSON file with defaults for this command")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int)
         p.add_argument("--scale", choices=["desk", "paper"], default="desk")
 
     gen = sub.add_parser("gen", help="generate a dataset")
     common(gen)
-    gen.add_argument("--count", type=int, default=10)
+    gen.add_argument("--count", type=int)
     gen.add_argument("--out", type=Path, required=True)
-    gen.add_argument("--workers", type=int, default=1)
+    gen.add_argument("--workers", type=int)
 
     tr = sub.add_parser("train", help="train the surrogate on a dataset")
     common(tr)
@@ -71,17 +71,17 @@ def build_parser() -> _Parser:
     common(inf)
     inf.add_argument("--checkpoint", type=Path, required=True)
     inf.add_argument("--pde", type=str, required=True, help='e.g. "dt(u) + c*dx(u) = 0"')
-    inf.add_argument("--coef", action="append", default=[], metavar="NAME=VALUE")
+    inf.add_argument("--coef", action="append", metavar="NAME=VALUE")
     inf.add_argument("--ic", type=Path, required=True, help="CSV file with n_x initial values")
     inf.add_argument("--out", type=Path, required=True, help="CSV file for the prediction grid")
-    inf.add_argument("--nt", type=int, default=101)
+    inf.add_argument("--nt", type=int)
 
     inv = sub.add_parser("invert", help="recover coefficients from one observation")
     common(inv)
     inv.add_argument("--checkpoint", type=Path, required=True)
     inv.add_argument("--data", type=Path, required=True)
-    inv.add_argument("--sample-index", type=int, default=0)
-    inv.add_argument("--noise", type=float, default=0.0)
+    inv.add_argument("--sample-index", type=int)
+    inv.add_argument("--noise", type=float)
     inv.add_argument("--swarm", type=int)
     inv.add_argument("--iterations", type=int)
     inv.add_argument("--subsample", type=int)
@@ -90,7 +90,7 @@ def build_parser() -> _Parser:
     pl = sub.add_parser("export-plot", help="render a sample as an SVG heatmap")
     common(pl)
     pl.add_argument("--data", type=Path, required=True)
-    pl.add_argument("--sample-index", type=int, default=0)
+    pl.add_argument("--sample-index", type=int)
     pl.add_argument("--out", type=Path, required=True)
     return parser
 
@@ -115,6 +115,17 @@ def _merged(args, defaults: dict, key: str, fallback):
     if key in defaults:
         return defaults[key]
     return fallback
+
+
+def _overrides(args, defaults: dict, fields: dict[str, str]) -> dict:
+    """Config-field updates (flag key -> field name) for the keys set by a
+    flag or the config file; unset keys keep the dataclass default."""
+    updates = {}
+    for key, fname in fields.items():
+        val = _merged(args, defaults, key, None)
+        if val is not None:
+            updates[fname] = val
+    return updates
 
 
 def _model_cfg(scale: str) -> ModelConfig:
@@ -146,13 +157,9 @@ def _cmd_gen(args) -> int:
 
 def _train_cfg_from(args, defaults: dict) -> TrainConfig:
     cfg = TrainConfig(seed=_merged(args, defaults, "seed", 0))
-    updates = {}
-    for flag, fname in (("epochs", "epochs"), ("batch_size", "batch_size"), ("lr", "base_lr"),
-                        ("points", "points_per_sample"), ("steps_per_sample", "steps_per_sample"),
-                        ("test_fraction", "test_fraction")):
-        val = _merged(args, defaults, flag, None)
-        if val is not None:
-            updates[fname] = val
+    updates = _overrides(args, defaults, {
+        "epochs": "epochs", "batch_size": "batch_size", "lr": "base_lr", "points": "points_per_sample",
+        "steps_per_sample": "steps_per_sample", "test_fraction": "test_fraction"})
     if getattr(args, "no_augment", False) or defaults.get("no_augment"):
         updates["augment"] = False
     if getattr(args, "sequential", False) or defaults.get("sequential"):
@@ -184,9 +191,10 @@ def _cmd_eval(args) -> int:
     from .dataio import load_checkpoint, read_dataset
     from .training import evaluate
 
+    defaults = _load_config_file(args.config, "eval", {"sequential"})
     params, model_cfg, _, _ = load_checkpoint(args.checkpoint)
     bundle = read_dataset(args.data)
-    with ad.sequential_mode() if args.sequential else contextlib.nullcontext():
+    with ad.sequential_mode() if _merged(args, defaults, "sequential", False) else contextlib.nullcontext():
         metrics = evaluate(params, model_cfg, bundle.samples)
     doc = {"mean_relative_l2": metrics["mean"], "per_sample": metrics["per_sample"]}
     if args.out:
@@ -201,16 +209,17 @@ def _cmd_infer(args) -> int:
     from .dsl import parse_pde
     from .model import predict_grid
 
+    defaults = _load_config_file(args.config, "infer", {"coef", "nt"})
     params, model_cfg, _, _ = load_checkpoint(args.checkpoint)
     coefficients = {}
-    for item in args.coef:
+    for item in _merged(args, defaults, "coef", []):
         if "=" not in item:
             raise UsageError(f"--coef expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         coefficients[name.strip()] = float(value)
     ast = parse_pde(args.pde, coefficients)
     ic = np.loadtxt(args.ic, delimiter=",", dtype=np.float64).ravel()
-    grid = predict_grid(ast, ic.astype(np.float32), params, model_cfg, n_t=args.nt)
+    grid = predict_grid(ast, ic.astype(np.float32), params, model_cfg, n_t=_merged(args, defaults, "nt", 101))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(args.out, grid, delimiter=",", fmt="%.9g")
     print(f"wrote {grid.shape[0]}x{grid.shape[1]} prediction grid to {args.out}")
@@ -221,19 +230,20 @@ def _cmd_invert(args) -> int:
     from .dataio import load_checkpoint, read_dataset
     from .inverse import InverseProblem, add_noise, build_inverse_template, recover_coefficients, save_report
 
+    defaults = _load_config_file(args.config, "invert",
+                                 {"seed", "sample_index", "noise", "swarm", "iterations", "subsample"})
+    seed = _merged(args, defaults, "seed", 0)
+    noise = _merged(args, defaults, "noise", 0.0)
     params, model_cfg, _, _ = load_checkpoint(args.checkpoint)
     bundle = read_dataset(args.data)
-    sample = bundle.samples[args.sample_index]
+    sample = bundle.samples[_merged(args, defaults, "sample_index", 0)]
     template, names = build_inverse_template(sample.coefficients)
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
-    observation = add_noise(sample.solution.astype(np.float64), args.noise, rng)
-    problem = InverseProblem(template=template, observation=observation, noise_level=args.noise,
-                             subsample=args.subsample)
-    pso = PsoConfig(seed=args.seed)
-    if args.swarm is not None:
-        pso = dataclasses.replace(pso, swarm_size=args.swarm)
-    if args.iterations is not None:
-        pso = dataclasses.replace(pso, iterations=args.iterations)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    observation = add_noise(sample.solution.astype(np.float64), noise, rng)
+    problem = InverseProblem(template=template, observation=observation, noise_level=noise,
+                             **_overrides(args, defaults, {"subsample": "subsample"}))
+    pso = dataclasses.replace(PsoConfig(seed=seed), **_overrides(
+        args, defaults, {"swarm": "swarm_size", "iterations": "iterations"}))
     report = recover_coefficients(problem, params, model_cfg, pso)
     truth = {name: float(sample.coefficients.c[int(name[1]), int(name[2])]) for name in names if name != "nu"}
     print(f"objective {report.objective:.6f}")
@@ -251,8 +261,9 @@ def _cmd_export_plot(args) -> int:
     from .dataio import read_dataset
     from .plotting import export_heatmap
 
+    defaults = _load_config_file(args.config, "export-plot", {"sample_index"})
     bundle = read_dataset(args.data)
-    sample = bundle.samples[args.sample_index]
+    sample = bundle.samples[_merged(args, defaults, "sample_index", 0)]
     export_heatmap(sample.solution, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsl
+from .autodiff import no_grad
 from .config import ModelConfig, PsoConfig
 from .datagen import PdeCoefficients, ast_from_coefficients
 from .model import ModelParams, compile_for_model, grid_coords, model_forward
@@ -180,7 +181,8 @@ def recover_coefficients(
 
     def objective(vec: np.ndarray) -> float:
         ast = dsl.bind_coefficients(problem.template, dict(zip(names, vec)))
-        pred = model_forward(compile_for_model(ast, ic, model_cfg), coords, params, model_cfg)
+        with no_grad():
+            pred = model_forward(compile_for_model(ast, ic, model_cfg), coords, params, model_cfg)
         return relative_l2(pred.data, targets)
 
     result = pso_minimize(objective, dim=len(names), cfg=pso_cfg, initial_positions=initial_positions)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .config import ModelConfig
 from .decoder import DecoderParams, decode, init_decoder_params
 from .dsl import Eq0
@@ -80,15 +80,17 @@ def grid_coords(t_idx, x_idx, n_x: int, dt_data: float = 0.01) -> np.ndarray:
 
 
 def model_forward(graph: PdeGraph, coords: np.ndarray, params: ModelParams, cfg: ModelConfig, dtype=np.float32) -> Tensor:
-    """Predicted solution values at the given (t, x) coordinates."""
+    """Predicted solution values at the given (t, x) coordinates (taped, unless
+    called under ``autodiff.no_grad``)."""
     return decode(encode(graph, params.encoder, cfg, dtype=dtype), coords, params.decoder)
 
 
 def predict_grid(ast: Eq0, ic_values: np.ndarray, params: ModelParams, cfg: ModelConfig,
                  n_t: int = 101, dt_data: float = 0.01, chunk: int = 8192) -> np.ndarray:
     """Decode the full (n_t, n_x) grid: one encode, decoded in chunks to bound peak memory."""
-    mu = encode(compile_for_model(ast, ic_values, cfg), params.encoder, cfg)
     n_x = cfg.n_x
     coords = grid_coords(*np.divmod(np.arange(n_t * n_x), n_x), n_x, dt_data)
-    rows = [decode(mu, coords[lo : lo + chunk], params.decoder).data for lo in range(0, len(coords), chunk)]
+    with no_grad():
+        mu = encode(compile_for_model(ast, ic_values, cfg), params.encoder, cfg)
+        rows = [decode(mu, coords[lo : lo + chunk], params.decoder).data for lo in range(0, len(coords), chunk)]
     return np.concatenate(rows).reshape(n_t, n_x)

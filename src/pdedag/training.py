@@ -201,13 +201,14 @@ def train(
                 for c in range(chunk_count):
                     params.zero_grads()
                     # hot path skips per-op finite checks; a bad scalar loss
-                    # is replayed with checks on to name the offending op
+                    # is replayed tape-free with checks on to name the offending op
                     with ad.finite_checks(False):
                         loss = run_chunk(c)
                     loss_value = float(loss.data)
                     if not np.isfinite(loss_value):
                         try:
-                            run_chunk(c)
+                            with ad.no_grad():
+                                run_chunk(c)
                         except NonFiniteDetected as exc:
                             raise NonFiniteLoss(f"epoch {epoch}, samples {batch}: {exc}") from exc
                         raise NonFiniteLoss(f"epoch {epoch}: loss is {loss_value}")

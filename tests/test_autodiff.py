@@ -72,6 +72,66 @@ def test_leaky_relu_clip_kink_subgradients_take_left_branch():
     assert np.array_equal(x.grad, np.array([0.2, 1.0, 0.0]))
 
 
+def _leaky_relu_clip_where_forward(x, slope, lo, hi):
+    return np.clip(np.where(x >= 0, x, slope * x), lo, hi)
+
+
+def _leaky_relu_clip_where_grad(x, slope, lo, hi):
+    grad = np.where(x > hi, 0.0, np.where(x > 0, 1.0, np.where(x > lo / slope, slope, 0.0)))
+    return grad.astype(x.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_clip_matches_the_where_formulas_bit_for_bit(dtype):
+    slope, lo, hi = 0.2, -256.0, 256.0
+    kink = dtype(lo / slope)
+    edges = np.array([0.0, -0.0, hi, -hi, lo, -lo, kink, np.inf, -np.inf, np.nan], dtype=dtype)
+    specials = np.concatenate([edges, np.nextafter(edges, dtype(np.inf)), np.nextafter(edges, dtype(-np.inf))])
+    x = (np.random.default_rng(9).standard_normal((4096, 32)) * 600.0).astype(dtype)
+    x.ravel()[: specials.size] = specials
+    g = np.random.default_rng(10).standard_normal(x.shape).astype(dtype)
+    t = Tensor(x, requires_grad=True)
+    with ad.finite_checks(False):
+        out = ad.leaky_relu_clip(t, slope, lo, hi)
+        ad.reduce_sum(out * g).backward()
+    assert out.dtype == dtype and t.grad.dtype == dtype
+    assert out.data.tobytes() == _leaky_relu_clip_where_forward(x, slope, lo, hi).tobytes()
+    assert t.grad.tobytes() == (g * _leaky_relu_clip_where_grad(x, slope, lo, hi)).tobytes()
+
+
+@pytest.mark.parametrize("slope", [0.0, -0.2, 1.5, np.nan])
+def test_leaky_relu_clip_rejects_slopes_outside_zero_one(slope):
+    with pytest.raises(ValueError):
+        ad.leaky_relu_clip(Tensor(np.ones(3)), slope)
+
+
+def test_no_grad_records_no_tape_and_keeps_requires_grad():
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    taped = ad.relu(ad.matmul(x, w))
+    with ad.no_grad():
+        free = ad.relu(ad.matmul(x, w))
+    assert taped._backward is not None and taped._parents
+    assert free._backward is None and free._parents == () and not free.requires_grad
+    assert w.requires_grad
+    assert free.data.tobytes() == taped.data.tobytes()
+
+
+def test_no_grad_nests_and_is_restored_after_an_exception():
+    assert not ad._NO_GRAD
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad._NO_GRAD
+        assert ad._NO_GRAD
+    assert not ad._NO_GRAD
+    with pytest.raises(NonFiniteDetected):
+        with ad.no_grad():
+            ad.sqrt(Tensor(np.array([-1.0])))
+    assert not ad._NO_GRAD
+    w = Tensor(np.ones(2), requires_grad=True)
+    assert (w * w)._backward is not None
+
+
 def test_determinism_bit_identical():
     def run():
         x = Tensor(RNG_FIXED.standard_normal((4, 4)), requires_grad=True)

@@ -69,6 +69,61 @@ def test_config_file_unknown_key_rejected(tmp_path):
     assert run_cli(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "infer", "invert", "export-plot"])
+def test_config_file_unknown_key_rejected_by_every_command(tmp_path, tiny_dataset, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({command: {"bogus_key": 1}}))
+    ckpt = save_checkpoint(tmp_path / "ckpt", init_model_params(TINY_MODEL, seed=0), TINY_MODEL)
+    argv = {
+        "eval": ["--checkpoint", str(ckpt), "--data", str(tiny_dataset)],
+        "infer": ["--checkpoint", str(ckpt), "--pde", "dt(u) = 0", "--ic", str(tmp_path / "ic.csv"),
+                  "--out", str(tmp_path / "p.csv")],
+        "invert": ["--checkpoint", str(ckpt), "--data", str(tiny_dataset)],
+        "export-plot": ["--data", str(tiny_dataset), "--out", str(tmp_path / "p.svg")],
+    }[command]
+    assert run_cli([command, "--config", str(cfg)] + argv) == 1
+
+
+def _invert_inputs(monkeypatch, tmp_path, tiny_dataset, extra):
+    import pdedag.inverse as inverse
+
+    seen = {}
+
+    def fake_recover(problem, params, model_cfg, pso_cfg):
+        seen.update(problem=problem, pso=pso_cfg)
+        names = inverse.dsl.unbound_names(problem.template)
+        return inverse.InversionReport(names=names, values=dict.fromkeys(names, 0.0), objective=0.0,
+                                       trace=[0.0], seed=pso_cfg.seed, bounds=[])
+
+    monkeypatch.setattr(inverse, "recover_coefficients", fake_recover)
+    ckpt = save_checkpoint(tmp_path / "ckpt", init_model_params(TINY_MODEL, seed=0), TINY_MODEL)
+    assert run_cli(["invert", "--checkpoint", str(ckpt), "--data", str(tiny_dataset)] + extra) == 0
+    return seen["problem"], seen["pso"]
+
+
+def test_invert_keeps_the_library_defaults_for_missing_flags(monkeypatch, tmp_path, tiny_dataset):
+    from pdedag.config import PsoConfig
+    from pdedag.inverse import InverseProblem
+
+    problem, pso = _invert_inputs(monkeypatch, tmp_path, tiny_dataset, [])
+    default = InverseProblem.__dataclass_fields__["subsample"].default
+    assert default == 4096 and problem.subsample == default
+    assert pso == PsoConfig(seed=0)
+    problem, pso = _invert_inputs(monkeypatch, tmp_path, tiny_dataset,
+                                  ["--subsample", "100", "--swarm", "3", "--seed", "2"])
+    assert problem.subsample == 100
+    assert (pso.swarm_size, pso.iterations, pso.seed) == (3, PsoConfig().iterations, 2)
+
+
+def test_invert_reads_its_config_file_and_flags_win(monkeypatch, tmp_path, tiny_dataset):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"invert": {"subsample": 200, "iterations": 5, "noise": 0.01}}))
+    problem, pso = _invert_inputs(monkeypatch, tmp_path, tiny_dataset,
+                                  ["--config", str(cfg), "--iterations", "7"])
+    assert problem.subsample == 200 and problem.noise_level == 0.01
+    assert pso.iterations == 7
+
+
 def test_export_plot(tmp_path, tiny_dataset):
     out = tmp_path / "plot.svg"
     assert run_cli(["export-plot", "--data", str(tiny_dataset),

@@ -148,6 +148,37 @@ def test_reported_objective_is_model_forward_at_recovered_values(small_cfg, sine
     assert report.objective == report.trace[-1]
 
 
+def test_forward_only_paths_record_no_tape(monkeypatch, small_cfg, sine_ic):
+    import pdedag.inverse as inverse
+    import pdedag.model as model
+    from pdedag.datagen import ast_from_coefficients
+
+    outputs = []
+
+    def recording(real):
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            outputs.append(out)
+            return out
+        return wrapper
+
+    params = init_model_params(small_cfg, seed=2)
+    coeffs = PdeCoefficients(c=np.array([[0.0, 0.6, 0, 0], [0.0, 0.0, 0.9, 0]]), nu=0.0)
+    ic = sine_ic(small_cfg.n_x)
+    monkeypatch.setattr(model, "encode", recording(model.encode))
+    monkeypatch.setattr(model, "decode", recording(model.decode))
+    observation = predict_grid(ast_from_coefficients(coeffs), ic, params, small_cfg, n_t=4, chunk=20)
+    monkeypatch.setattr(inverse, "model_forward", recording(inverse.model_forward))
+    template, _ = build_inverse_template(coeffs)
+    problem = InverseProblem(template=template, observation=observation, subsample=None, ic=ic)
+    recover_coefficients(problem, params, small_cfg, PsoConfig(swarm_size=3, iterations=2, seed=1))
+    # predict_grid: one encode and 4 decode chunks; each of the 9 objective
+    # calls: model_forward and the encode and decode inside it
+    assert len(outputs) == 1 + 4 + 9 * 3
+    assert all(out._backward is None and out._parents == () for out in outputs)
+    assert all(t.requires_grad for t in params.tensors())
+
+
 def test_report_serialisation(tmp_path):
     coeffs = PdeCoefficients(c=np.array([[0, 1.0, 0, 0], [0] * 4]), nu=0.0)
     template, names = build_inverse_template(coeffs)

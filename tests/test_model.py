@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from pdedag import autodiff as ad
 from pdedag.config import DESK_MODEL, ModelConfig
@@ -36,3 +37,17 @@ def test_predict_grid_equals_model_forward_on_the_full_grid(small_cfg, sine_ic):
         full = model_forward(compile_for_model(ast, ic, small_cfg), coords, params, small_cfg).data
     assert grid.shape == (n_t, n_x)
     assert grid.tobytes() == full.reshape(n_t, n_x).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_forward_under_no_grad_is_tape_free_and_bit_identical(dtype, sine_ic):
+    params = init_model_params(DESK_MODEL, seed=1, dtype=dtype)
+    graph = compile_for_model(parse_pde("dt(u) + c*dx(u^2) = 0", {"c": 0.4}), sine_ic(DESK_MODEL.n_x), DESK_MODEL)
+    coords = grid_coords(*np.divmod(np.arange(0, 101 * 256, 97), 256), 256)
+    taped = model_forward(graph, coords, params, DESK_MODEL, dtype=dtype)
+    with ad.no_grad():
+        free = model_forward(graph, coords, params, DESK_MODEL, dtype=dtype)
+    assert taped._backward is not None
+    assert free._backward is None and free._parents == ()
+    assert all(t.requires_grad for t in params.tensors())
+    assert free.data.tobytes() == taped.data.tobytes()

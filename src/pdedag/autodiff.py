@@ -348,8 +348,11 @@ def leaky_relu_clip(a, slope: float = 0.2, lo: float = -256.0, hi: float = 256.0
 
     def backward(g):
         pos = x > 0
-        grad = (pos + x.dtype.type(slope) * ((x > lo / slope) & ~pos)) * (x <= hi)
-        _accum(a, g * grad)
+        grad = ((x > lo / slope) & ~pos) * x.dtype.type(slope)
+        grad += pos
+        grad *= x <= hi
+        grad *= g
+        _accum(a, grad)
 
     return _make(out_data, (a,), backward, "leaky_relu_clip")
 

@@ -192,9 +192,10 @@ def _cmd_eval(args) -> int:
     from .training import evaluate
 
     defaults = _load_config_file(args.config, "eval", {"sequential"})
+    sequential = _merged(args, defaults, "sequential", False)
     params, model_cfg, _, _ = load_checkpoint(args.checkpoint)
     bundle = read_dataset(args.data)
-    with ad.sequential_mode() if _merged(args, defaults, "sequential", False) else contextlib.nullcontext():
+    with ad.sequential_mode() if sequential else contextlib.nullcontext():
         metrics = evaluate(params, model_cfg, bundle.samples)
     doc = {"mean_relative_l2": metrics["mean"], "per_sample": metrics["per_sample"]}
     if args.out:
@@ -219,7 +220,8 @@ def _cmd_infer(args) -> int:
         coefficients[name.strip()] = float(value)
     ast = parse_pde(args.pde, coefficients)
     ic = np.loadtxt(args.ic, delimiter=",", dtype=np.float64).ravel()
-    grid = predict_grid(ast, ic.astype(np.float32), params, model_cfg, n_t=_merged(args, defaults, "nt", 101))
+    n_t = _merged(args, defaults, "nt", 101)
+    grid = predict_grid(ast, ic.astype(np.float32), params, model_cfg, n_t=n_t)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(args.out, grid, delimiter=",", fmt="%.9g")
     print(f"wrote {grid.shape[0]}x{grid.shape[1]} prediction grid to {args.out}")

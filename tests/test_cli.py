@@ -69,6 +69,14 @@ def test_config_file_unknown_key_rejected(tmp_path):
     assert run_cli(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_gen_takes_count_and_seed_from_the_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gen": {"count": 1, "seed": 5}}))
+    assert run_cli(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    echoed = json.loads((tmp_path / "o" / "effective_config.json").read_text())["config"]
+    assert (echoed["count"], echoed["seed"]) == (1, 5)
+
+
 @pytest.mark.parametrize("command", ["eval", "infer", "invert", "export-plot"])
 def test_config_file_unknown_key_rejected_by_every_command(tmp_path, tiny_dataset, command):
     cfg = tmp_path / "cfg.json"

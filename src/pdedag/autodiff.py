@@ -46,38 +46,30 @@ class NotScalarLoss(ValueError):
 
 
 @contextlib.contextmanager
+def _switch(name: str, value: bool):
+    """Set the module flag ``name`` for the block; the previous value comes
+    back on exit, also on an exception, so blocks nest."""
+    prev = globals()[name]
+    globals()[name] = value
+    try:
+        yield
+    finally:
+        globals()[name] = prev
+
+
 def sequential_mode(enabled: bool = True):
     """Force batch-partition-independent (and slower) matmul kernels."""
-    global _SEQUENTIAL
-    prev = _SEQUENTIAL
-    _SEQUENTIAL = enabled
-    try:
-        yield
-    finally:
-        _SEQUENTIAL = prev
+    return _switch("_SEQUENTIAL", enabled)
 
 
-@contextlib.contextmanager
 def finite_checks(enabled: bool):
-    global _CHECK_FINITE
-    prev = _CHECK_FINITE
-    _CHECK_FINITE = enabled
-    try:
-        yield
-    finally:
-        _CHECK_FINITE = prev
+    """Turn the non-finite check on every primitive output on or off."""
+    return _switch("_CHECK_FINITE", enabled)
 
 
-@contextlib.contextmanager
 def no_grad():
     """Record no tape: outputs carry no parents and no adjoint, whatever the inputs."""
-    global _NO_GRAD
-    prev = _NO_GRAD
-    _NO_GRAD = True
-    try:
-        yield
-    finally:
-        _NO_GRAD = prev
+    return _switch("_NO_GRAD", True)
 
 
 class Tensor:
@@ -104,9 +96,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Populate ``.grad`` on every reachable tensor with requires_grad."""
@@ -156,10 +145,10 @@ class Tensor:
         return matmul(self, other)
 
 
-def as_tensor(value, dtype=None) -> Tensor:
+def as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    arr = np.asarray(value, dtype=dtype)
+    arr = np.asarray(value)
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float64)
     return Tensor(arr)
@@ -466,11 +455,6 @@ def layer_norm(a, eps: float = 1e-5) -> Tensor:
         _accum(a, inv_std * (g - g_sum / n - out_data * gy_sum / n))
 
     return _make(out_data, (a,), backward, "layer_norm")
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def finite_diff_check(f, x: Tensor, eps: float = 1e-5) -> float:

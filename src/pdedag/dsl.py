@@ -14,6 +14,13 @@ sugar for ``dx(dx(e))``. The unknown field is whichever identifier appears
 under a time or space derivative; every other identifier is a scalar
 coefficient, bound to a value through the side table passed to
 ``parse_pde`` (or left unbound for inverse-problem templates).
+
+The AST has two leaf types, ``Var`` (the unknown field) and ``Coef`` (a
+named or literal scalar, possibly an unbound slot), and eight operations:
+``Dt``, ``Dx``, ``Neg``, ``Square``, ``Pow`` (which also carries an integer
+exponent), ``Eq0`` (the root), and the n-ary ``Add`` and ``Mul``. Which
+fields of a node hold its operands is known only to ``children`` and
+``with_children``; every traversal here and in ``graph`` goes through them.
 """
 
 from __future__ import annotations
@@ -50,11 +57,6 @@ class Var:
 class Coef:
     name: str | None = None
     value: float | None = None
-
-
-@dataclass(frozen=True)
-class InitCond:
-    grid_ref: str = "ic"
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,39 @@ class Eq0:
     child: "Expr"
 
 
-Expr = Var | Coef | InitCond | Dt | Dx | Add | Mul | Neg | Square | Pow | Eq0
+Expr = Var | Coef | Dt | Dx | Add | Mul | Neg | Square | Pow | Eq0
+
+
+def children(node: Expr) -> tuple:
+    """The operands of ``node`` in order; ``()`` for the leaves."""
+    if isinstance(node, (Var, Coef)):
+        return ()
+    if isinstance(node, (Add, Mul)):
+        return node.children
+    if isinstance(node, (Dt, Dx, Neg, Square, Pow, Eq0)):
+        return (node.child,)
+    raise TypeError(f"unexpected node {node!r}")
+
+
+def with_children(node: Expr, kids) -> Expr:
+    """A node of the same type as ``node`` over the operands ``kids``;
+    ``Pow`` keeps its exponent and leaves are returned as they are."""
+    if isinstance(node, (Add, Mul)):
+        return type(node)(tuple(kids))
+    if isinstance(node, Pow):
+        return Pow(kids[0], node.exponent)
+    if isinstance(node, (Var, Coef)):
+        return node
+    return type(node)(kids[0])
+
+
+def transform(node: Expr, leaf_fn) -> Expr:
+    """Rebuild ``node`` bottom-up with every leaf replaced by ``leaf_fn(leaf)``."""
+    kids = children(node)
+    if not kids:
+        return leaf_fn(node)
+    return with_children(node, [transform(c, leaf_fn) for c in kids])
+
 
 _RESERVED = {"dt", "dx", "dxx"}
 
@@ -131,13 +165,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens, coefficients: Mapping[str, float], allow_unbound: bool):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
-        self.coefficients = coefficients
-        self.allow_unbound = allow_unbound
-        self.idents: list[str] = []           # in order of appearance
-        self.derived: set[str] = set()        # idents seen under dt/dx
 
     def peek(self):
         return self.tokens[self.i]
@@ -210,14 +240,11 @@ class _Parser:
                 self.expect_sym("(")
                 inner = self.parse_expr()
                 self.expect_sym(")")
-                self._mark_derived(inner)
                 if value == "dt":
                     return Dt(inner)
                 if value == "dx":
                     return Dx(inner)
                 return Dx(Dx(inner))
-            if value not in self.idents:
-                self.idents.append(value)
             return Var(value)  # resolved to Var/Coef after the whole parse
         if kind == "sym" and value == "(":
             inner = self.parse_expr()
@@ -225,44 +252,10 @@ class _Parser:
             return inner
         raise PdeSyntaxError(pos, "an atom", value)
 
-    def _mark_derived(self, node: Expr) -> None:
-        if isinstance(node, Var):
-            self.derived.add(node.name)
-        elif isinstance(node, (Dt, Dx, Neg, Square, Eq0)):
-            self._mark_derived(node.child)
-        elif isinstance(node, Pow):
-            self._mark_derived(node.child)
-        elif isinstance(node, (Add, Mul)):
-            for c in node.children:
-                self._mark_derived(c)
 
-
-def _resolve_idents(node: Expr, unknown: str | None, coefficients: Mapping[str, float], allow_unbound: bool) -> Expr:
-    if isinstance(node, Var):
-        if node.name == unknown:
-            return node
-        if node.name in coefficients:
-            return Coef(name=node.name, value=float(coefficients[node.name]))
-        if allow_unbound:
-            return Coef(name=node.name, value=None)
-        raise UnknownSymbol(node.name)
-    if isinstance(node, Dt):
-        return Dt(_resolve_idents(node.child, unknown, coefficients, allow_unbound))
-    if isinstance(node, Dx):
-        return Dx(_resolve_idents(node.child, unknown, coefficients, allow_unbound))
-    if isinstance(node, Neg):
-        return Neg(_resolve_idents(node.child, unknown, coefficients, allow_unbound))
-    if isinstance(node, Square):
-        return Square(_resolve_idents(node.child, unknown, coefficients, allow_unbound))
-    if isinstance(node, Pow):
-        return Pow(_resolve_idents(node.child, unknown, coefficients, allow_unbound), node.exponent)
-    if isinstance(node, Add):
-        return Add(tuple(_resolve_idents(c, unknown, coefficients, allow_unbound) for c in node.children))
-    if isinstance(node, Mul):
-        return Mul(tuple(_resolve_idents(c, unknown, coefficients, allow_unbound) for c in node.children))
-    if isinstance(node, Eq0):
-        return Eq0(_resolve_idents(node.child, unknown, coefficients, allow_unbound))
-    return node
+def _var_names(node: Expr) -> list[str]:
+    """Identifier names of the raw parse in order of first appearance."""
+    return list(dict.fromkeys(n.name for n in _walk(node) if isinstance(n, Var)))
 
 
 def parse_pde(text: str, coefficients: Mapping[str, float] | None = None, allow_unbound: bool = False) -> Eq0:
@@ -273,22 +266,32 @@ def parse_pde(text: str, coefficients: Mapping[str, float] | None = None, allow_
     remaining identifiers become unbound coefficient slots instead of errors.
     """
     coefficients = dict(coefficients or {})
-    parser = _Parser(_tokenize(text), coefficients, allow_unbound)
-    raw = parser.parse_eq()
+    raw = _Parser(_tokenize(text)).parse_eq()
 
     # the unknown field is the identifier that appears under a derivative and
     # is not bound as a coefficient; table-bound names are always coefficients
-    candidates = [n for n in parser.idents if n in parser.derived and n not in coefficients]
+    free = [name for name in _var_names(raw) if name not in coefficients]
+    derived = {name for n in _walk(raw) if isinstance(n, (Dt, Dx)) for name in _var_names(n)}
+    candidates = [name for name in free if name in derived]
     if len(candidates) > 1:
         raise MultipleUnknowns(f"multiple field variables under derivatives: {sorted(candidates)}")
     if candidates:
         unknown = candidates[0]
+    elif len(free) > 1:
+        raise MultipleUnknowns(f"cannot tell the field variable among {sorted(free)}")
     else:
-        free = [name for name in parser.idents if name not in coefficients]
-        if len(free) > 1:
-            raise MultipleUnknowns(f"cannot tell the field variable among {sorted(free)}")
         unknown = free[0] if free else None
-    return _resolve_idents(raw, unknown, coefficients, allow_unbound)
+
+    def resolve(leaf: Expr) -> Expr:
+        if not isinstance(leaf, Var) or leaf.name == unknown:
+            return leaf
+        if leaf.name in coefficients:
+            return Coef(name=leaf.name, value=float(coefficients[leaf.name]))
+        if allow_unbound:
+            return Coef(name=leaf.name, value=None)
+        raise UnknownSymbol(leaf.name)
+
+    return transform(raw, resolve)
 
 
 def _format_number(value: float) -> str:
@@ -332,8 +335,6 @@ def _print_expr(node: Expr) -> str:
         return " ".join(parts)
     if isinstance(node, Neg):
         raise ValueError("negation is only printable inside a sum")
-    if isinstance(node, InitCond):
-        raise ValueError("initial-condition nodes have no surface syntax")
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -371,13 +372,8 @@ class ValidationReport:
 
 def _walk(node: Expr) -> Iterator[Expr]:
     yield node
-    if isinstance(node, (Dt, Dx, Neg, Square, Eq0)):
-        yield from _walk(node.child)
-    elif isinstance(node, Pow):
-        yield from _walk(node.child)
-    elif isinstance(node, (Add, Mul)):
-        for c in node.children:
-            yield from _walk(c)
+    for c in children(node):
+        yield from _walk(c)
 
 
 def validate_ast(ast: Expr) -> ValidationReport:
@@ -411,48 +407,37 @@ def unbound_names(ast: Expr) -> list[str]:
 
 def bind_coefficients(ast: Expr, values: Mapping[str, float]) -> Expr:
     """Fill unbound coefficient slots by name; bound slots are left alone."""
-    if isinstance(ast, Coef) and ast.value is None:
-        if ast.name not in values:
-            raise UnknownSymbol(ast.name or "<anonymous>")
-        return Coef(name=ast.name, value=float(values[ast.name]))
-    if isinstance(ast, (Dt, Dx, Neg, Square, Eq0)):
-        return type(ast)(bind_coefficients(ast.child, values))
-    if isinstance(ast, Pow):
-        return Pow(bind_coefficients(ast.child, values), ast.exponent)
-    if isinstance(ast, (Add, Mul)):
-        return type(ast)(tuple(bind_coefficients(c, values) for c in ast.children))
-    return ast
+
+    def bind(leaf: Expr) -> Expr:
+        if not isinstance(leaf, Coef) or leaf.value is not None:
+            return leaf
+        if leaf.name not in values:
+            raise UnknownSymbol(leaf.name or "<anonymous>")
+        return Coef(name=leaf.name, value=float(values[leaf.name]))
+
+    return transform(ast, bind)
 
 
-def ast_equal(a: Expr, b: Expr, ignore_order: bool = True) -> bool:
-    """Structural equality, by default insensitive to Add/Mul child order."""
+def ast_equal(a: Expr, b: Expr) -> bool:
+    """Structural equality, insensitive to Add/Mul child order."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, Var):
-        return a.name == b.name
-    if isinstance(a, Coef):
-        return a.name == b.name and a.value == b.value
-    if isinstance(a, InitCond):
-        return a.grid_ref == b.grid_ref
-    if isinstance(a, Pow):
-        return a.exponent == b.exponent and ast_equal(a.child, b.child, ignore_order)
-    if isinstance(a, (Dt, Dx, Neg, Square, Eq0)):
-        return ast_equal(a.child, b.child, ignore_order)
-    if isinstance(a, (Add, Mul)):
-        if len(a.children) != len(b.children):
+    ka, kb = children(a), children(b)
+    if not ka:
+        return a == b
+    if len(ka) != len(kb) or (isinstance(a, Pow) and a.exponent != b.exponent):
+        return False
+    if not isinstance(a, (Add, Mul)):
+        return all(ast_equal(x, y) for x, y in zip(ka, kb))
+    remaining = list(kb)
+    for x in ka:
+        for i, y in enumerate(remaining):
+            if ast_equal(x, y):
+                remaining.pop(i)
+                break
+        else:
             return False
-        if not ignore_order:
-            return all(ast_equal(x, y, ignore_order) for x, y in zip(a.children, b.children))
-        remaining = list(b.children)
-        for x in a.children:
-            for i, y in enumerate(remaining):
-                if ast_equal(x, y, ignore_order):
-                    remaining.pop(i)
-                    break
-            else:
-                return False
-        return True
-    raise TypeError(f"unexpected node {a!r}")
+    return True
 
 
 # --- coordinate rescaling of the benchmark equation families ---------------

@@ -131,19 +131,13 @@ def embed_nodes(graph: PdeGraph, feats: GraphFeatures, params: EncoderParams, cf
     return h + ad.gather(params.outdeg_emb, outdeg)
 
 
-def attention_bias(feats: GraphFeatures, params: EncoderParams, head: int | None = None, dtype=np.float32) -> Tensor:
-    """Per-head additive logits: b+_{phi(i,j)} + b-_{phi(j,i)} + mask.
-
-    With ``head=None`` all heads are returned stacked as (n_heads, n, n).
-    """
+def attention_bias(feats: GraphFeatures, params: EncoderParams, dtype=np.float32) -> Tensor:
+    """Per-head additive logits b+_{phi(i,j)} + b-_{phi(j,i)} + mask,
+    stacked as (n_heads, n, n)."""
     n_heads, cap1 = params.bias_fwd.shape
     mask = Tensor(feats.mask.astype(dtype))
     flat_fwd = ad.reshape(params.bias_fwd, (n_heads * cap1,))
     flat_bwd = ad.reshape(params.bias_bwd, (n_heads * cap1,))
-    if head is not None:
-        idx_f = head * cap1 + feats.phi
-        idx_b = head * cap1 + feats.phi.T
-        return ad.gather(flat_fwd, idx_f) + ad.gather(flat_bwd, idx_b) + mask
     offsets = (np.arange(n_heads) * cap1)[:, None, None]
     idx_f = offsets + feats.phi[None, :, :]
     idx_b = offsets + feats.phi.T[None, :, :]

@@ -21,6 +21,9 @@ from . import dsl
 from .autodiff import MASK_SENTINEL
 
 CORE_TYPES = ("uf", "sc", "ic", "dt", "dx", "add", "mul", "neg", "square", "eq0")
+# graph node type of each AST node type; Pow is expanded before lowering
+_KINDS = {dsl.Var: "uf", dsl.Coef: "sc", dsl.Dt: "dt", dsl.Dx: "dx", dsl.Add: "add",
+          dsl.Mul: "mul", dsl.Neg: "neg", dsl.Square: "square", dsl.Eq0: "eq0"}
 PATH_CAP = 14
 
 
@@ -88,39 +91,29 @@ def expand_power(exponent: int, base: dsl.Expr | None = None) -> dsl.Expr:
 
 
 def prune_zero_terms(node: dsl.Expr) -> dsl.Expr:
-    """Drop terms whose coefficient is exactly zero."""
+    """Drop terms whose coefficient is exactly zero.
+
+    ``None`` stands for an identically zero subtree: it drops out of a sum
+    and zeroes every other operation over it, a product included.
+    """
 
     def prune(n: dsl.Expr) -> dsl.Expr | None:
-        if isinstance(n, dsl.Coef):
-            return None if n.value == 0.0 else n
-        if isinstance(n, (dsl.Var, dsl.InitCond)):
-            return n
-        if isinstance(n, (dsl.Dt, dsl.Dx, dsl.Neg, dsl.Square)):
-            child = prune(n.child)
-            return None if child is None else type(n)(child)
-        if isinstance(n, dsl.Pow):
-            child = prune(n.child)
-            return None if child is None else dsl.Pow(child, n.exponent)
-        if isinstance(n, dsl.Mul):
-            kept = [prune(c) for c in n.children]
-            if any(c is None for c in kept):
-                return None
-            return dsl.Mul(tuple(kept))
+        kids = dsl.children(n)
+        if not kids:
+            return None if isinstance(n, dsl.Coef) and n.value == 0.0 else n
+        kept = [prune(c) for c in kids]
         if isinstance(n, dsl.Add):
-            kept = [c for c in (prune(c) for c in n.children) if c is not None]
-            if not kept:
-                return None
-            return kept[0] if len(kept) == 1 else dsl.Add(tuple(kept))
-        raise TypeError(f"unexpected node {n!r}")
+            kept = [c for c in kept if c is not None]
+            if len(kept) == 1:
+                return kept[0]
+        if not kept or any(c is None for c in kept):
+            return None
+        return dsl.with_children(n, kept)
 
-    if isinstance(node, dsl.Eq0):
-        body = prune(node.child)
-        if body is None:
-            raise InvalidAst("equation is identically zero after dropping zero terms")
-        return dsl.Eq0(body)
     body = prune(node)
     if body is None:
-        raise InvalidAst("expression is identically zero after dropping zero terms")
+        what = "equation" if isinstance(node, dsl.Eq0) else "expression"
+        raise InvalidAst(f"{what} is identically zero after dropping zero terms")
     return body
 
 
@@ -170,48 +163,25 @@ def compile_pde(
     ast = prune_zero_terms(ast)
 
     b = _Builder(d_f)
-    ic_holder: list[int] = []
 
     def lower(node: dsl.Expr) -> int:
-        if isinstance(node, dsl.Var):
-            return b.emit("uf", b.zeros(), ())
+        if isinstance(node, dsl.Pow):
+            return lower(expand_power(node.exponent, node.child))
         if isinstance(node, dsl.Coef):
             if node.value is None:
                 raise InvalidAst(f"unbound coefficient {node.name!r}; bind values before compiling")
             feature = np.full(d_f, node.value, dtype=np.float32)
-            return b.emit("sc", feature, ())
-        if isinstance(node, dsl.InitCond):
-            if not ic_holder:
-                ic_holder.append(b.emit("ic", b.zeros(), ()))
-            return ic_holder[0]
-        if isinstance(node, dsl.Dt):
-            return b.emit("dt", b.zeros(), (lower(node.child),))
-        if isinstance(node, dsl.Dx):
-            return b.emit("dx", b.zeros(), (lower(node.child),))
-        if isinstance(node, dsl.Neg):
-            return b.emit("neg", b.zeros(), (lower(node.child),))
-        if isinstance(node, dsl.Square):
-            return b.emit("square", b.zeros(), (lower(node.child),))
-        if isinstance(node, dsl.Pow):
-            return lower(expand_power(node.exponent, node.child))
-        if isinstance(node, dsl.Add):
-            return b.emit("add", b.zeros(), tuple(lower(c) for c in node.children))
-        if isinstance(node, dsl.Mul):
-            return b.emit("mul", b.zeros(), tuple(lower(c) for c in node.children))
-        raise TypeError(f"unexpected node {node!r}")
+        else:
+            feature = b.zeros()
+        return b.emit(_KINDS[type(node)], feature, tuple(lower(c) for c in dsl.children(node)))
 
-    body_id = lower(ast.child)
-    b.emit("eq0", b.zeros(), (body_id,))
+    lower(ast)
 
     uf_key = [k for k in b.memo if k[0] == "uf"]
     if not uf_key:
         raise InvalidAst("equation lost its field variable after dropping zero terms")
     uf_id = b.memo[uf_key[0]]
-    if ic_holder:
-        ic_id = ic_holder[0]
-        b.edges.append((uf_id, ic_id))
-    else:
-        ic_id = b.emit("ic", b.zeros(), (uf_id,))
+    ic_id = b.emit("ic", b.zeros(), (uf_id,))
     for i in range(n_patches):
         patch = ic_values[i * d_f : (i + 1) * d_f]
         b.emit(f"p{i + 1}", patch.copy(), (ic_id,))

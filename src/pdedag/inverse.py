@@ -160,7 +160,6 @@ def recover_coefficients(
     params: ModelParams,
     model_cfg: ModelConfig,
     pso_cfg: PsoConfig,
-    template_text: str | None = None,
     initial_positions: np.ndarray | None = None,
 ) -> InversionReport:
     """Minimise model-vs-observation mismatch over the unbound coefficients."""

@@ -64,7 +64,7 @@ class SpectralSolver:
         out -= self.ik * self._from_grid(_poly_eval(c1, u))
         return out
 
-    def solve(self, coeffs, g: np.ndarray, record_snapshots: bool = True):
+    def solve(self, coeffs, g: np.ndarray):
         """Integrate from the IC grid; returns (n_t, n_x) snapshots or Rejected.
 
         ``coeffs`` provides ``c`` (2 x 4 polynomial coefficients) and ``nu``.
@@ -90,9 +90,8 @@ class SpectralSolver:
         if np.max(np.abs(g)) > cfg.reject_linf:
             return Rejected(reason="linf", step=0)
         u_hat = np.fft.rfft(g)
-        snapshots = np.empty((cfg.n_t, cfg.n_x)) if record_snapshots else None
-        if record_snapshots:
-            snapshots[0] = g
+        snapshots = np.empty((cfg.n_t, cfg.n_x))
+        snapshots[0] = g
 
         step = 0
         # blow-ups are data outcomes handled by rejection, not numpy warnings
@@ -115,8 +114,7 @@ class SpectralSolver:
                     return Rejected(reason="non_finite", step=step)
                 if np.max(np.abs(u)) > cfg.reject_linf:
                     return Rejected(reason="linf", step=step)
-                if record_snapshots:
-                    snapshots[snap] = u
+                snapshots[snap] = u
         return snapshots
 
 

@@ -97,15 +97,6 @@ class Adam:
             "step": self.steps,
         }
 
-    def load_state(self, state: dict) -> None:
-        self.steps = int(state["step"])
-        offset = 0
-        for name, p in self.params.named_tensors():
-            n = p.size
-            self.m[name][...] = state["m"][offset : offset + n].reshape(p.data.shape)
-            self.v[name][...] = state["v"][offset : offset + n].reshape(p.data.shape)
-            offset += n
-
 
 def clip_gradients(params: ModelParams, max_norm: float) -> float:
     total = 0.0

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,23 @@ def test_unbound_coefficients_allowed_for_templates():
 def test_multiple_unknowns():
     with pytest.raises(MultipleUnknowns):
         parse_pde("dt(u) + dx(v) = 0")
+
+
+_FIELD_EXAMPLES = {"'Expr'": U, "tuple": (U, Coef("c", 1.0)), "int": 3,
+                   "str": "u", "str | None": "c", "float | None": 0.5}
+
+
+@pytest.mark.parametrize("cls", typing.get_args(dsl.Expr), ids=lambda c: c.__name__)
+def test_every_node_type_round_trips_through_children(cls):
+    # a node type that children/with_children do not know fails here
+    node = cls(**{f.name: _FIELD_EXAMPLES[f.type] for f in dataclasses.fields(cls)})
+    kids = dsl.children(node)
+    assert dsl.with_children(node, kids) == node
+    operands = ()
+    for f in dataclasses.fields(cls):
+        value = getattr(node, f.name)
+        operands += value if f.type == "tuple" else (value,) if f.type == "'Expr'" else ()
+    assert kids == operands
 
 
 def test_validate_ok():

@@ -94,8 +94,8 @@ def test_attention_bias_zero_tables_fully_connected(micro_cfg):
         edges=tuple((i, j) for i in range(n) for j in range(i + 1, n)),
         d_f=micro_cfg.d_f, n_patches=0, n_mod=n,
     ))
-    bias = attention_bias(feats, params, head=0, dtype=np.float64)
-    assert np.array_equal(bias.data, np.zeros((n, n)))
+    bias = attention_bias(feats, params, dtype=np.float64)
+    assert np.array_equal(bias.data[0], np.zeros((n, n)))
 
 
 def test_attention_bias_masks_disconnected_pairs(micro_cfg):
@@ -108,10 +108,10 @@ def test_attention_bias_masks_disconnected_pairs(micro_cfg):
         d_f=micro_cfg.d_f, n_patches=0, n_mod=3,
     )
     feats = graph_features(g)
-    bias = attention_bias(feats, params, head=1, dtype=np.float64)
-    assert bias.data[0, 2] <= MASK_SENTINEL / 2
-    assert bias.data[2, 0] <= MASK_SENTINEL / 2
-    assert bias.data[0, 1] > MASK_SENTINEL / 2
+    bias = attention_bias(feats, params, dtype=np.float64).data[1]
+    assert bias[0, 2] <= MASK_SENTINEL / 2
+    assert bias[2, 0] <= MASK_SENTINEL / 2
+    assert bias[0, 1] > MASK_SENTINEL / 2
 
 
 def test_attention_bias_matches_hand_formula(micro_cfg):
@@ -121,8 +121,9 @@ def test_attention_bias_matches_hand_formula(micro_cfg):
     params.bias_bwd.data[...] = rng.standard_normal(params.bias_bwd.shape)
     graph = _graph(micro_cfg)
     feats = graph_features(graph)
+    stacked = attention_bias(feats, params, dtype=np.float64).data
     for head in range(micro_cfg.n_heads):
-        bias = attention_bias(feats, params, head=head, dtype=np.float64).data
+        bias = stacked[head]
         n = graph.n_nodes
         for i in range(n):
             for j in range(n):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter, deque
 
 import numpy as np
@@ -392,3 +393,63 @@ def test_graph_json_export():
     assert len(doc["edges"]) == len(g.edges)
     assert len(doc["phi"]) == g.n_nodes
     assert doc["nodes"][0]["feature"] == [0.0] * 4
+
+
+_GOLDEN_TEXTS = [
+    ("dt(u) = 0", {}),
+    ("dt(u) + c*dx(u) = 0", {"c": 0.3}),
+    ("dt(u) + dx(u^2) - nu*dxx(u) = 0", {"nu": 0.1}),
+    ("dt(w) + a*w^11 - (b + 0.5)*dx(w*w) = 0", {"a": 1.5, "b": 2.0}),
+    ("dt(u) + z*u^3 + c*dx(u) - (z + y)*u = 0", {"z": 0.0, "c": 0.7, "y": 0.0}),
+    ("dt(u) + k*dx(dt(u)) + 2*u*k - 3 = 0", {"k": -1.25}),
+    ("dt(u) + dx(c*u) + c = 0", {"c": 1.0}),
+    ("u + c*u^2 = 0", {"c": 2.0}),
+]
+_GOLDEN_BAD = [
+    ("dt(u) + dx(v) = 0", {}),
+    ("dt(u) + a*v = 0", {}),
+    ("u + v = 0", {}),
+    ("dt(u) + c*u = 0", {}),
+    ("dt(u) + c*u = ", {"c": 1.0}),
+]
+
+
+def _golden_digest() -> str:
+    """sha256 over compiled graphs, parses, binds and prints, in a fixed order."""
+    from pdedag.datagen import ast_from_coefficients, sample_pde
+    from pdedag.inverse import build_inverse_template
+
+    h = hashlib.sha256()
+
+    def add_graph(ast):
+        g = compile_pde(ast, _ic(64), d_f=8, n_patches=8, n_mod=3)
+        h.update("|".join(g.node_types).encode())
+        h.update(g.features.tobytes())
+        h.update(repr(g.edges).encode())
+
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        coeffs = sample_pde(rng)
+        add_graph(ast_from_coefficients(coeffs))
+        template, names = build_inverse_template(coeffs, search_nu=True)
+        bound = dsl.bind_coefficients(template, {n: 0.25 * (i + 1) for i, n in enumerate(names)})
+        h.update(repr((template, names, dsl.unbound_names(template), bound)).encode())
+        add_graph(bound)
+    for text, coefficients in _GOLDEN_TEXTS:
+        ast = parse_pde(text, coefficients)
+        h.update(repr((ast, dsl.print_pde(ast), dsl.validate_ast(ast).violations)).encode())
+        add_graph(ast)
+    for text, coefficients in _GOLDEN_TEXTS + _GOLDEN_BAD:
+        for unbound in (False, True):
+            try:
+                ast = parse_pde(text, coefficients, allow_unbound=unbound)
+                h.update(repr((ast, dsl.unbound_names(ast))).encode())
+            except ValueError as exc:
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+    return h.hexdigest()[:16]
+
+
+def test_compiler_and_dsl_outputs_are_golden():
+    # a changed prefix means changed graphs or ASTs, and with them changed
+    # model inputs, checkpoints' meaning and inversion results
+    assert _golden_digest() == "fae6a1c685b1394f"

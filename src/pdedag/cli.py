@@ -143,6 +143,8 @@ def _cmd_gen(args) -> int:
 
     defaults = _load_config_file(args.config, "gen", {"count", "seed", "workers", "sampling", "solver"})
     count = _merged(args, defaults, "count", 10)
+    if count < 1:
+        raise UsageError(f"count must be at least 1, got {count}")
     seed = _merged(args, defaults, "seed", 0)
     workers = _merged(args, defaults, "workers", 1)
     sampling = SamplingConfig(**defaults.get("sampling", {}))

@@ -8,8 +8,9 @@ the output directory is identical no matter how generation is parallelised.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,26 +142,41 @@ def ast_from_coefficients(coeffs: PdeCoefficients, unbound: set[str] | None = No
     return dsl.Eq0(body)
 
 
-def generate_sample(base_seed: int, draw_index: int, sampling: SamplingConfig, solver_cfg: SolverConfig):
-    """Run one draw end to end; returns a PdeSample or Rejected."""
-    seed = draw_seed(base_seed, draw_index)
+def _draw(base_seed: int, draw_index: int, sampling: SamplingConfig, solver_cfg: SolverConfig):
+    """Coefficients and IC grid of one draw, from its own RNG stream."""
     rng = np.random.default_rng(np.random.SeedSequence([int(base_seed), int(draw_index)]))
     coeffs = sample_pde(rng, sampling)
     g = sample_initial_condition(
         rng, solver_cfg.n_x, sampling,
         domain_length=solver_cfg.domain_length, x_lo=solver_cfg.x_lo,
     )
-    solver = SpectralSolver(solver_cfg)
-    outcome = solver.solve(coeffs, g)
-    if isinstance(outcome, Rejected):
-        return outcome
+    return coeffs, g
+
+
+def _outcome(base_seed: int, draw_index: int, coeffs: PdeCoefficients, g: np.ndarray, solved):
+    """The PdeSample of an accepted draw; a Rejected passes through."""
+    if isinstance(solved, Rejected):
+        return solved
     return PdeSample(
-        seed=seed,
+        seed=draw_seed(base_seed, draw_index),
         draw_index=draw_index,
         coefficients=coeffs,
         ic=g.astype(np.float32),
-        solution=outcome.astype(np.float32),
+        solution=solved.astype(np.float32),
     )
+
+
+def generate_sample(base_seed: int, draw_index: int, sampling: SamplingConfig, solver_cfg: SolverConfig):
+    """Run one draw end to end; returns a PdeSample or Rejected."""
+    coeffs, g = _draw(base_seed, draw_index, sampling, solver_cfg)
+    return _outcome(base_seed, draw_index, coeffs, g, SpectralSolver(solver_cfg).solve(coeffs, g))
+
+
+def _solve_draws(base_seed: int, start: int, stop: int, sampling: SamplingConfig, solver_cfg: SolverConfig):
+    """Outcomes of draws ``start .. stop-1``, solved as one batch."""
+    draws = [_draw(base_seed, i, sampling, solver_cfg) for i in range(start, stop)]
+    solved = SpectralSolver(solver_cfg).solve_batch([c for c, _ in draws], np.stack([g for _, g in draws]))
+    return [_outcome(base_seed, start + j, c, g, s) for j, ((c, g), s) in enumerate(zip(draws, solved))]
 
 
 _WORKER_STATE: dict = {}
@@ -170,24 +186,15 @@ def _worker_init(base_seed, sampling, solver_cfg):
     _WORKER_STATE["args"] = (base_seed, sampling, solver_cfg)
 
 
-def _worker_run(draw_index):
+def _worker_run(span):
     base_seed, sampling, solver_cfg = _WORKER_STATE["args"]
-    return draw_index, generate_sample(base_seed, draw_index, sampling, solver_cfg)
+    return _solve_draws(base_seed, *span, sampling, solver_cfg)
 
 
-def _outcomes_serial(base_seed, sampling, solver_cfg):
-    index = 0
-    while True:
-        yield index, generate_sample(base_seed, index, sampling, solver_cfg)
-        index += 1
-
-
-def _outcomes_pool(base_seed, sampling, solver_cfg, workers, chunk):
-    with multiprocessing.Pool(workers, initializer=_worker_init, initargs=(base_seed, sampling, solver_cfg)) as pool:
-        start = 0
-        while True:
-            yield from sorted(pool.map(_worker_run, range(start, start + chunk)))
-            start += chunk
+def _spans(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
+    """``start .. stop-1`` cut into at most ``parts`` contiguous, non-empty spans."""
+    bounds = [start + (stop - start) * i // parts for i in range(parts + 1)]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def generate_dataset(
@@ -202,34 +209,44 @@ def generate_dataset(
     """Generate until ``count`` accepted samples exist, then write the
     directory layout (manifest + per-sample meta/bin files).
 
-    Rejected draws are skipped and counted; draws are always consumed in
-    index order, so the output is byte-identical for any worker count.
+    Draws are solved in batches of up to ``chunk``: each batch is the next
+    ``min(chunk, count - accepted)`` draws, so no draw is solved that the
+    count does not need, and with ``workers > 1`` each worker solves one
+    contiguous slice of it. Rejected draws are skipped and counted; draws
+    are always consumed in index order, and a draw's solution does not
+    depend on its batch, so the output is byte-identical for any batch
+    split and any worker count.
     """
     from .dataio import write_dataset
 
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     sampling = sampling or SamplingConfig()
     solver_cfg = solver_cfg or SolverConfig()
-    if workers <= 1:
-        outcomes = _outcomes_serial(base_seed, sampling, solver_cfg)
-    else:
-        outcomes = _outcomes_pool(base_seed, sampling, solver_cfg, workers, chunk)
 
     accepted: list[PdeSample] = []
     rejected = 0
     rejected_streak = 0
     draws = 0
-    for index, outcome in outcomes:
-        draws = index + 1
-        if isinstance(outcome, Rejected):
-            rejected += 1
-            rejected_streak += 1
-        else:
-            outcome.rejections_before = rejected_streak
-            rejected_streak = 0
-            accepted.append(outcome)
-            if len(accepted) == count:
-                break
-    outcomes.close()
+    pool = (multiprocessing.Pool(workers, initializer=_worker_init, initargs=(base_seed, sampling, solver_cfg))
+            if workers > 1 else contextlib.nullcontext())
+    with pool:
+        while len(accepted) < count:
+            start, draws = draws, draws + min(chunk, count - len(accepted))
+            if workers > 1:
+                outcomes = [o for part in pool.map(_worker_run, _spans(start, draws, workers)) for o in part]
+            else:
+                outcomes = _solve_draws(base_seed, start, draws, sampling, solver_cfg)
+            for outcome in outcomes:
+                if isinstance(outcome, Rejected):
+                    rejected += 1
+                    rejected_streak += 1
+                else:
+                    outcome.rejections_before = rejected_streak
+                    rejected_streak = 0
+                    accepted.append(outcome)
 
     return write_dataset(
         out_dir,

@@ -5,6 +5,10 @@ mode through an integrating factor, while the polynomial reaction and flux
 terms advance explicitly with the three-stage strong-stability-preserving
 Runge-Kutta scheme. Nonlinear products are evaluated on a padded grid
 (3/2-rule) to remove aliasing from the quadratic terms.
+
+A batch of draws advances together, one row per draw. The FFTs act row by
+row and every other operation is elementwise with its operands in a fixed
+order, so a row's result does not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -24,12 +28,16 @@ class Rejected:
     step: int
 
 
-def _poly_eval(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Horner on c0 + c1 u + c2 u^2 + c3 u^3
-    acc = np.full_like(u, coeffs[3])
-    for c in (coeffs[2], coeffs[1], coeffs[0]):
-        acc = acc * u + c
-    return acc
+def _drop(rows: list, out: list, step: int, *rejects) -> list:
+    """Record ``Rejected(reason, step)`` for the rows each (mask, reason)
+    pair marks and return the state of the rows left; the last entry of
+    ``rows`` holds each row's input position."""
+    keep = np.ones(rows[-1].size, dtype=bool)
+    for bad, reason in rejects:
+        for i in rows[-1][bad]:
+            out[i] = Rejected(reason=reason, step=step)
+        keep &= ~bad
+    return rows if keep.all() else [r[keep] for r in rows]
 
 
 class SpectralSolver:
@@ -42,27 +50,57 @@ class SpectralSolver:
         self.ik = 1j * self.k
         self.n_pad = int(round(n * cfg.dealias))
         self.pad_scale = self.n_pad / n
+        # modes copied onto the padded grid: an even grid's ambiguous
+        # Nyquist mode stays zero
+        self.n_keep = self.k.size - 1 if n % 2 == 0 else self.k.size
         steps = cfg.dt_data / cfg.dt_solver
         self.steps_per_snapshot = int(round(steps))
         if abs(steps - self.steps_per_snapshot) > 1e-9:
             raise ValueError("dt_data must be an integer multiple of dt_solver")
 
-    def _to_grid(self, u_hat: np.ndarray) -> np.ndarray:
-        padded = np.zeros(self.n_pad // 2 + 1, dtype=complex)
-        padded[: u_hat.size] = u_hat
-        if self.config.n_x % 2 == 0:
-            padded[u_hat.size - 1] = 0.0  # drop the ambiguous Nyquist mode
-        return np.fft.irfft(padded * self.pad_scale, n=self.n_pad)
-
-    def _from_grid(self, values: np.ndarray) -> np.ndarray:
-        full = np.fft.rfft(values) / self.pad_scale
-        return full[: self.k.size]
-
-    def _nonlinear(self, u_hat: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-        u = self._to_grid(u_hat)
-        out = -self._from_grid(_poly_eval(c0, u))
-        out -= self.ik * self._from_grid(_poly_eval(c1, u))
+    def _nonlinear(self, s_hat, poly, work, out):
+        """out = -F0 - ik*F1 for the spectra of f0(u) and f1(u), which the
+        grid buffer holds as two rows per draw; ``poly`` is the four Horner
+        coefficients spread over the (B, 2, n_pad) grid, which is faster to
+        combine than a broadcast column."""
+        padded, grid, spec = work
+        keep = self.n_keep
+        np.multiply(s_hat[:, :keep], self.pad_scale, out=padded[:, :keep])
+        u = np.fft.irfft(padded, n=self.n_pad)[:, None]
+        c0, c1, c2, c3 = poly
+        np.multiply(c3, u, out=grid)
+        grid += c2
+        grid *= u
+        grid += c1
+        grid *= u
+        grid += c0
+        np.divide(np.fft.rfft(grid)[..., : self.k.size], self.pad_scale, out=spec)
+        flux = spec[:, 1]
+        np.multiply(self.ik, flux, out=flux)
+        np.negative(spec[:, 0], out=out)
+        out -= flux
         return out
+
+    def _step(self, u_hat, x, y, stage, poly, work):
+        """One SSPRK3 step, the diffusion factor applied exactly over each
+        stage sub-interval; the new spectrum is written into ``x``."""
+        e_full, a2, b2, a3, b3 = stage
+        dt = self.config.dt_solver
+        self._nonlinear(u_hat, poly, work, x)
+        np.multiply(dt, x, out=x)
+        x += u_hat
+        np.multiply(e_full, x, out=x)  # s1 = e_full (u_hat + dt n0)
+        self._nonlinear(x, poly, work, y)
+        np.multiply(dt, y, out=y)
+        y += x
+        np.multiply(b2, y, out=y)
+        y += np.multiply(a2, u_hat, out=x)  # s2 = a2 u_hat + b2 (s1 + dt n1)
+        self._nonlinear(y, poly, work, x)
+        np.multiply(dt, x, out=x)
+        x += y
+        np.multiply(b3, x, out=x)
+        x += np.multiply(a3, u_hat, out=y)  # a3 u_hat + b3 (s2 + dt n2)
+        return x
 
     def solve(self, coeffs, g: np.ndarray):
         """Integrate from the IC grid; returns (n_t, n_x) snapshots or Rejected.
@@ -71,51 +109,72 @@ class SpectralSolver:
         Rejection triggers on any non-finite state or on an L-infinity norm
         above the configured bound at a snapshot time.
         """
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != (self.config.n_x,):
+            raise ValueError(f"initial condition must have {self.config.n_x} points")
+        return self.solve_batch([coeffs], g[None])[0]
+
+    def solve_batch(self, coeffs, g: np.ndarray) -> list:
+        """``solve`` for each row of the (B, n_x) IC array with its entry of
+        ``coeffs``; returns the B outcomes in input order.
+
+        A rejected row leaves the batch at the step that rejects it; the
+        rest carry on, each with the bits it would have if solved alone.
+        """
         cfg = self.config
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != (cfg.n_x,):
-            raise ValueError(f"initial condition must have {cfg.n_x} points")
-        c = np.asarray(coeffs.c, dtype=np.float64)
-        nu = float(coeffs.nu)
-        c0, c1 = c[0], c[1]
-        c1 = c1.copy()
-        c1[0] = 0.0  # the flux constant differentiates away
+        b = len(coeffs)
+        if g.shape != (b, cfg.n_x):
+            raise ValueError(f"initial conditions must have shape ({b}, {cfg.n_x})")
+        c = np.array([np.asarray(co.c, dtype=np.float64) for co in coeffs]).reshape(b, 2, 4, 1)
+        c[:, 1, 0] = 0.0  # the flux constant differentiates away
+        nu = np.array([float(co.nu) for co in coeffs])
 
         dt = cfg.dt_solver
-        decay = -nu * self.k**2
+        decay = -nu[:, None] * self.k**2
         e_full = np.exp(decay * dt)
         e_half = np.exp(decay * 0.5 * dt)
         e_neg_half = np.exp(-decay * 0.5 * dt)
+        stage = (e_full, 0.75 * e_half, 0.25 * e_neg_half, (1.0 / 3.0) * e_full, (2.0 / 3.0) * e_half)
 
-        if np.max(np.abs(g)) > cfg.reject_linf:
-            return Rejected(reason="linf", step=0)
-        u_hat = np.fft.rfft(g)
-        snapshots = np.empty((cfg.n_t, cfg.n_x))
-        snapshots[0] = g
-
+        out: list = [None] * b
+        snapshots = np.empty((b, cfg.n_t, cfg.n_x))
+        snapshots[:, 0] = g
+        # per-row state: spectrum, stage factors (complex, as the products
+        # cast them), polynomial coefficients, input position
+        rows = [np.fft.rfft(g), *(f.astype(complex) for f in stage), c, np.arange(b)]
+        rows = _drop(rows, out, 0, (np.max(np.abs(g), axis=1) > cfg.reject_linf, "linf"))
+        per_snap = self.steps_per_snapshot
+        total = (cfg.n_t - 1) * per_snap
         step = 0
         # blow-ups are data outcomes handled by rejection, not numpy warnings
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for snap in range(1, cfg.n_t):
-                for _ in range(self.steps_per_snapshot):
-                    # SSPRK3 stages with the diffusion factor applied exactly
-                    # over each stage sub-interval
-                    n0 = self._nonlinear(u_hat, c0, c1)
-                    s1 = e_full * (u_hat + dt * n0)
-                    n1 = self._nonlinear(s1, c0, c1)
-                    s2 = 0.75 * e_half * u_hat + 0.25 * e_neg_half * (s1 + dt * n1)
-                    n2 = self._nonlinear(s2, c0, c1)
-                    u_hat = (1.0 / 3.0) * e_full * u_hat + (2.0 / 3.0) * e_half * (s2 + dt * n2)
+            while step < total and rows[-1].size:
+                u_hat, *stage, c, index = rows
+                m = index.size
+                grid_shape = (m, 2, self.n_pad)
+                poly = [np.ascontiguousarray(np.broadcast_to(c[:, :, j], grid_shape)) for j in range(4)]
+                work = (np.zeros((m, self.n_pad // 2 + 1), dtype=complex), np.empty(grid_shape),
+                        np.empty((m, 2, self.k.size), dtype=complex))
+                x, y = np.empty_like(u_hat), np.empty_like(u_hat)
+                rejects = None
+                while rejects is None and step < total:
+                    u_hat, x = self._step(u_hat, x, y, stage, poly, work), u_hat
                     step += 1
-                    if not np.all(np.isfinite(u_hat)):
-                        return Rejected(reason="non_finite", step=step)
-                u = np.fft.irfft(u_hat, n=cfg.n_x)
-                if not np.all(np.isfinite(u)):
-                    return Rejected(reason="non_finite", step=step)
-                if np.max(np.abs(u)) > cfg.reject_linf:
-                    return Rejected(reason="linf", step=step)
-                snapshots[snap] = u
-        return snapshots
+                    if not np.isfinite(u_hat).all():
+                        rejects = [(~np.isfinite(u_hat).all(axis=1), "non_finite")]
+                    elif step % per_snap == 0:
+                        u = np.fft.irfft(u_hat, n=cfg.n_x)
+                        snapshots[index, step // per_snap] = u
+                        bad = ~np.isfinite(u).all(axis=1)
+                        big = ~bad & (np.max(np.abs(u), axis=1) > cfg.reject_linf)
+                        if bad.any() or big.any():
+                            rejects = [(bad, "non_finite"), (big, "linf")]
+                rows[0] = u_hat
+                rows = _drop(rows, out, step, *(rejects or ()))
+        for i in rows[-1]:
+            out[i] = snapshots[i]
+        return out
 
 
 def solve_pde(coeffs, g: np.ndarray, config: SolverConfig | None = None):

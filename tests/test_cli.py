@@ -48,6 +48,13 @@ def test_unknown_flag_usage_error(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_count_below_one_is_a_usage_error(tmp_path, capsys, count):
+    assert run_cli(["gen", "--count", count, "--out", str(tmp_path / "o")]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_command_usage_error():
     assert run_cli(["frobnicate"]) == 1
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pdedag.config import SolverConfig
-from pdedag.datagen import PdeCoefficients
+from pdedag.config import SamplingConfig, SolverConfig
+from pdedag.datagen import PdeCoefficients, sample_initial_condition, sample_pde
 from pdedag.spectral import Rejected, SpectralSolver, solve_pde
 
 
@@ -93,3 +93,56 @@ def test_solver_validates_inputs():
         solve_pde(_coeffs(), np.zeros(100))
     with pytest.raises(ValueError):
         SpectralSolver(SolverConfig(dt_solver=3e-4))  # not a divisor of dt_data
+
+
+def _seed_8_draw_1():
+    # the coefficients and IC of corpus draw 1 of seed 8, non-finite at step 2113
+    rng = np.random.default_rng(np.random.SeedSequence([8, 1]))
+    coeffs = sample_pde(rng, SamplingConfig())
+    return coeffs, sample_initial_condition(rng, CFG.n_x, SamplingConfig())
+
+
+def _assert_batch_equals_one_row_solves(draws):
+    solver = SpectralSolver(CFG)
+    batch = solver.solve_batch([c for c, _ in draws], np.stack([g for _, g in draws]))
+    assert len(batch) == len(draws)
+    for (coeffs, g), got in zip(draws, batch):
+        alone = solver.solve(coeffs, g)
+        if isinstance(alone, Rejected):
+            assert got == alone
+        else:
+            assert not isinstance(got, Rejected) and np.array_equal(got, alone)
+    return batch
+
+
+def test_batch_rows_equal_one_row_solves_in_input_order():
+    draws = [
+        (_coeffs({(1, 1): 0.5}), np.sin(np.pi * X)),
+        (_coeffs({(1, 1): 0.4}), np.full(CFG.n_x, 10.5)),
+        (_coeffs({(0, 0): -3.0}), np.full(CFG.n_x, 9.5)),
+        _seed_8_draw_1(),
+        (_coeffs({(0, 1): 0.3, (1, 2): 0.9}, nu=0.05), 0.7 * np.sin(np.pi * X + 1.0)),
+    ]
+    batch = _assert_batch_equals_one_row_solves(draws)
+    assert batch[1] == Rejected(reason="linf", step=0)
+    assert batch[2].reason == "linf" and 0 < batch[2].step < 2500
+    assert batch[3] == Rejected(reason="non_finite", step=2113)
+    assert batch[0].shape == batch[4].shape == (CFG.n_t, CFG.n_x)
+
+
+def test_batch_with_every_row_rejected():
+    draws = [
+        (_coeffs({(0, 0): -3.0}), np.full(CFG.n_x, 9.5)),
+        (_coeffs(), np.full(CFG.n_x, -11.0)),
+        (_coeffs({(1, 3): 3.0, (0, 2): -3.0}), 9.0 * np.sin(np.pi * X)),
+    ]
+    batch = _assert_batch_equals_one_row_solves(draws)
+    assert all(isinstance(o, Rejected) for o in batch)
+
+
+def test_batch_validates_its_shape():
+    solver = SpectralSolver(CFG)
+    two = [_coeffs(), _coeffs()]
+    for g in (np.zeros((2, 100)), np.zeros((3, CFG.n_x)), np.zeros(2 * CFG.n_x)):
+        with pytest.raises(ValueError):
+            solver.solve_batch(two, g)

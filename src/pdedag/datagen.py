@@ -9,6 +9,8 @@ the output directory is identical no matter how generation is parallelised.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import multiprocessing
 from dataclasses import dataclass
 
@@ -172,23 +174,12 @@ def generate_sample(base_seed: int, draw_index: int, sampling: SamplingConfig, s
     return _outcome(base_seed, draw_index, coeffs, g, SpectralSolver(solver_cfg).solve(coeffs, g))
 
 
-def _solve_draws(base_seed: int, start: int, stop: int, sampling: SamplingConfig, solver_cfg: SolverConfig):
-    """Outcomes of draws ``start .. stop-1``, solved as one batch."""
+def _solve_draws(base_seed: int, sampling: SamplingConfig, solver_cfg: SolverConfig, span: tuple[int, int]):
+    """Outcomes of the draws ``start .. stop-1`` of ``span``, solved as one batch."""
+    start, stop = span
     draws = [_draw(base_seed, i, sampling, solver_cfg) for i in range(start, stop)]
     solved = SpectralSolver(solver_cfg).solve_batch([c for c, _ in draws], np.stack([g for _, g in draws]))
     return [_outcome(base_seed, start + j, c, g, s) for j, ((c, g), s) in enumerate(zip(draws, solved))]
-
-
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(base_seed, sampling, solver_cfg):
-    _WORKER_STATE["args"] = (base_seed, sampling, solver_cfg)
-
-
-def _worker_run(span):
-    base_seed, sampling, solver_cfg = _WORKER_STATE["args"]
-    return _solve_draws(base_seed, *span, sampling, solver_cfg)
 
 
 def _spans(start: int, stop: int, parts: int) -> list[tuple[int, int]]:
@@ -209,13 +200,14 @@ def generate_dataset(
     """Generate until ``count`` accepted samples exist, then write the
     directory layout (manifest + per-sample meta/bin files).
 
-    Draws are solved in batches of up to ``chunk``: each batch is the next
+    Draws are solved in batches. In one process each batch is the next
     ``min(chunk, count - accepted)`` draws, so no draw is solved that the
-    count does not need, and with ``workers > 1`` each worker solves one
-    contiguous slice of it. Rejected draws are skipped and counted; draws
-    are always consumed in index order, and a draw's solution does not
-    depend on its batch, so the output is byte-identical for any batch
-    split and any worker count.
+    count does not need; with ``workers > 1`` each round is the next
+    ``chunk`` draws, each worker solves one contiguous slice of it as a
+    batch, and draws past the one that completes the count are discarded.
+    Rejected draws are skipped and counted; draws are always consumed in
+    index order, and a draw's solution does not depend on its batch, so the
+    output is byte-identical for any batch split and any worker count.
     """
     from .dataio import write_dataset
 
@@ -230,16 +222,18 @@ def generate_dataset(
     rejected = 0
     rejected_streak = 0
     draws = 0
-    pool = (multiprocessing.Pool(workers, initializer=_worker_init, initargs=(base_seed, sampling, solver_cfg))
-            if workers > 1 else contextlib.nullcontext())
-    with pool:
+    parts = max(workers, 1)
+    solve = functools.partial(_solve_draws, base_seed, sampling, solver_cfg)
+    pool = multiprocessing.Pool(parts) if parts > 1 else None
+    run = pool.map if pool else map
+    with pool or contextlib.nullcontext():
         while len(accepted) < count:
-            start, draws = draws, draws + min(chunk, count - len(accepted))
-            if workers > 1:
-                outcomes = [o for part in pool.map(_worker_run, _spans(start, draws, workers)) for o in part]
-            else:
-                outcomes = _solve_draws(base_seed, start, draws, sampling, solver_cfg)
-            for outcome in outcomes:
+            # a pool keeps every worker busy on a whole chunk; one process
+            # solves no draw past the ones the count can still take
+            start = draws
+            stop = start + (chunk if pool else min(chunk, count - len(accepted)))
+            outcomes = itertools.chain.from_iterable(run(solve, _spans(start, stop, parts)))
+            for draws, outcome in enumerate(outcomes, start + 1):
                 if isinstance(outcome, Rejected):
                     rejected += 1
                     rejected_streak += 1
@@ -247,6 +241,8 @@ def generate_dataset(
                     outcome.rejections_before = rejected_streak
                     rejected_streak = 0
                     accepted.append(outcome)
+                    if len(accepted) == count:
+                        break
 
     return write_dataset(
         out_dir,

@@ -28,16 +28,15 @@ class Rejected:
     step: int
 
 
-def _drop(rows: list, out: list, step: int, *rejects) -> list:
-    """Record ``Rejected(reason, step)`` for the rows each (mask, reason)
-    pair marks and return the state of the rows left; the last entry of
-    ``rows`` holds each row's input position."""
-    keep = np.ones(rows[-1].size, dtype=bool)
+def _reject(out: list, index: np.ndarray, step: int, *rejects) -> np.ndarray:
+    """Record ``Rejected(reason, step)`` at the input positions ``index``
+    of the rows each (mask, reason) pair marks; returns the rows that stay."""
+    keep = np.ones(index.size, dtype=bool)
     for bad, reason in rejects:
-        for i in rows[-1][bad]:
+        for i in index[bad]:
             out[i] = Rejected(reason=reason, step=step)
         keep &= ~bad
-    return rows if keep.all() else [r[keep] for r in rows]
+    return keep
 
 
 class SpectralSolver:
@@ -109,10 +108,7 @@ class SpectralSolver:
         Rejection triggers on any non-finite state or on an L-infinity norm
         above the configured bound at a snapshot time.
         """
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (self.config.n_x,):
-            raise ValueError(f"initial condition must have {self.config.n_x} points")
-        return self.solve_batch([coeffs], g[None])[0]
+        return self.solve_batch([coeffs], np.asarray(g)[None])[0]
 
     def solve_batch(self, coeffs, g: np.ndarray) -> list:
         """``solve`` for each row of the (B, n_x) IC array with its entry of
@@ -140,39 +136,45 @@ class SpectralSolver:
         out: list = [None] * b
         snapshots = np.empty((b, cfg.n_t, cfg.n_x))
         snapshots[:, 0] = g
-        # per-row state: spectrum, stage factors (complex, as the products
-        # cast them), polynomial coefficients, input position
-        rows = [np.fft.rfft(g), *(f.astype(complex) for f in stage), c, np.arange(b)]
-        rows = _drop(rows, out, 0, (np.max(np.abs(g), axis=1) > cfg.reject_linf, "linf"))
+        keep = _reject(out, np.arange(b), 0, (np.max(np.abs(g), axis=1) > cfg.reject_linf, "linf"))
+        # per-row state of the rows left: spectrum, stage factors (complex,
+        # as the products cast them), polynomial coefficients, input position
+        index = np.flatnonzero(keep)
+        u_hat = np.fft.rfft(g[keep])
+        stage = tuple(f[keep].astype(complex) for f in stage)
+        c = c[keep]
         per_snap = self.steps_per_snapshot
         total = (cfg.n_t - 1) * per_snap
         step = 0
         # blow-ups are data outcomes handled by rejection, not numpy warnings
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            while step < total and rows[-1].size:
-                u_hat, *stage, c, index = rows
+            while step < total and index.size:
                 m = index.size
                 grid_shape = (m, 2, self.n_pad)
                 poly = [np.ascontiguousarray(np.broadcast_to(c[:, :, j], grid_shape)) for j in range(4)]
                 work = (np.zeros((m, self.n_pad // 2 + 1), dtype=complex), np.empty(grid_shape),
                         np.empty((m, 2, self.k.size), dtype=complex))
                 x, y = np.empty_like(u_hat), np.empty_like(u_hat)
-                rejects = None
-                while rejects is None and step < total:
+                keep = None
+                while keep is None and step < total:
                     u_hat, x = self._step(u_hat, x, y, stage, poly, work), u_hat
                     step += 1
-                    if not np.isfinite(u_hat).all():
-                        rejects = [(~np.isfinite(u_hat).all(axis=1), "non_finite")]
-                    elif step % per_snap == 0:
+                    finite = np.isfinite(u_hat).all()  # whole batch before any row
+                    if step % per_snap == 0:
                         u = np.fft.irfft(u_hat, n=cfg.n_x)
                         snapshots[index, step // per_snap] = u
                         bad = ~np.isfinite(u).all(axis=1)
+                        if not finite:
+                            bad |= ~np.isfinite(u_hat).all(axis=1)
                         big = ~bad & (np.max(np.abs(u), axis=1) > cfg.reject_linf)
                         if bad.any() or big.any():
-                            rejects = [(bad, "non_finite"), (big, "linf")]
-                rows[0] = u_hat
-                rows = _drop(rows, out, step, *(rejects or ()))
-        for i in rows[-1]:
+                            keep = _reject(out, index, step, (bad, "non_finite"), (big, "linf"))
+                    elif not finite:
+                        keep = _reject(out, index, step, (~np.isfinite(u_hat).all(axis=1), "non_finite"))
+                if keep is not None:
+                    u_hat, c, index = u_hat[keep], c[keep], index[keep]
+                    stage = tuple(f[keep] for f in stage)
+        for i in index:
             out[i] = snapshots[i]
         return out
 

@@ -102,8 +102,8 @@ def _seed_8_draw_1():
     return coeffs, sample_initial_condition(rng, CFG.n_x, SamplingConfig())
 
 
-def _assert_batch_equals_one_row_solves(draws):
-    solver = SpectralSolver(CFG)
+def _assert_batch_equals_one_row_solves(draws, cfg=CFG):
+    solver = SpectralSolver(cfg)
     batch = solver.solve_batch([c for c, _ in draws], np.stack([g for _, g in draws]))
     assert len(batch) == len(draws)
     for (coeffs, g), got in zip(draws, batch):
@@ -146,3 +146,18 @@ def test_batch_validates_its_shape():
     for g in (np.zeros((2, 100)), np.zeros((3, CFG.n_x)), np.zeros(2 * CFG.n_x)):
         with pytest.raises(ValueError):
             solver.solve_batch(two, g)
+
+
+def test_batch_row_rejected_on_a_snapshot_step_keeps_the_others_snapshots():
+    # every step is a snapshot and the bound never fires, so the cubic
+    # source's blow-up is a non_finite rejection on a snapshot step while
+    # the other rows stay in the batch
+    cfg = SolverConfig(dt_data=CFG.dt_solver, n_t=201, reject_linf=np.inf)
+    x = cfg.x_grid()
+    draws = [
+        (_coeffs({(1, 1): 0.5}), np.sin(np.pi * x)),
+        (_coeffs({(0, 3): -3.0}), np.full(cfg.n_x, 2.0)),
+        (_coeffs({(0, 1): 0.3, (1, 2): 0.9}, nu=0.05), 0.7 * np.sin(np.pi * x + 1.0)),
+    ]
+    batch = _assert_batch_equals_one_row_solves(draws, cfg)
+    assert batch[1].reason == "non_finite" and 0 < batch[1].step < cfg.n_t - 1

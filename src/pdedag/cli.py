@@ -1,16 +1,15 @@
 """Command-line entry point.
 
 Subcommands: gen, train, infer, invert, eval, export-plot. A JSON config
-file supplies defaults per command; explicit flags override it, and the
-merged configuration is echoed into the output directory. Exit codes:
-0 success, 1 usage error, 2 runtime error.
+file supplies defaults per command; explicit flags override it, and gen and
+train echo their effective configuration into the output directory. Exit
+codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,8 +17,51 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import (DESK_MODEL, PAPER_MODEL, ModelConfig, PsoConfig, SamplingConfig,
-                     SolverConfig, TrainConfig, config_as_dict)
+from .config import (DESK_MODEL, PAPER_MODEL, PsoConfig, SamplingConfig, SolverConfig,
+                     TrainConfig, config_as_dict)
+from .inverse import InverseProblem
+
+_SCALES = {"desk": DESK_MODEL, "paper": PAPER_MODEL}
+_TRAIN, _PSO = TrainConfig(), PsoConfig()
+
+# The options a config file may set, declared once per command as (flag,
+# add_argument keywords). The config key is the flag name with "_" for "-";
+# the file's value becomes the flag's default, so an explicit flag still wins
+# and an appended flag (--coef) adds to the file's list.
+_OPTIONS: dict[str, list[tuple[str, dict]]] = {
+    "gen": [
+        ("--count", dict(type=int, default=10)),
+        ("--seed", dict(type=int, default=0)),
+        ("--workers", dict(type=int, default=1)),
+    ],
+    "train": [
+        ("--seed", dict(type=int, default=_TRAIN.seed)),
+        ("--epochs", dict(type=int, default=_TRAIN.epochs)),
+        ("--batch-size", dict(type=int, default=_TRAIN.batch_size)),
+        ("--lr", dict(type=float, default=_TRAIN.base_lr)),
+        ("--points", dict(type=int, default=_TRAIN.points_per_sample)),
+        ("--steps-per-sample", dict(type=int, default=_TRAIN.steps_per_sample)),
+        ("--test-fraction", dict(type=float, default=_TRAIN.test_fraction)),
+        ("--no-augment", dict(action="store_true")),
+        ("--sequential", dict(action="store_true", help="bit-reproducible reductions")),
+    ],
+    "eval": [("--sequential", dict(action="store_true"))],
+    "infer": [
+        ("--coef", dict(action="append", default=[], metavar="NAME=VALUE")),
+        ("--nt", dict(type=int, default=101)),
+    ],
+    "invert": [
+        ("--seed", dict(type=int, default=_PSO.seed)),
+        ("--sample-index", dict(type=int, default=0)),
+        ("--noise", dict(type=float, default=0.0)),
+        ("--swarm", dict(type=int, default=_PSO.swarm_size)),
+        ("--iterations", dict(type=int, default=_PSO.iterations)),
+        ("--subsample", dict(type=int, default=InverseProblem.subsample)),
+    ],
+    "export-plot": [("--sample-index", dict(type=int, default=0))],
+}
+# config sections with no flag: gen's sampling and solver settings
+_SECTIONS = {"gen": {"sampling": {}, "solver": {}}}
 
 
 class UsageError(Exception):
@@ -31,105 +73,67 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> _Parser:
+def build_parser(config: dict[str, dict] | None = None) -> _Parser:
+    """The CLI parser; ``config`` maps a command to config-file defaults."""
     parser = _Parser(prog="pdedag", description="PDE-to-DAG neural surrogate toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help_text):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="JSON file with defaults for this command")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--scale", choices=["desk", "paper"], default="desk")
+        for flag, kwargs in _OPTIONS[name]:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(**_SECTIONS.get(name, {}))
+        p.set_defaults(**(config or {}).get(name, {}))
+        return p
 
-    gen = sub.add_parser("gen", help="generate a dataset")
-    common(gen)
-    gen.add_argument("--count", type=int)
+    gen = command("gen", "generate a dataset")
     gen.add_argument("--out", type=Path, required=True)
-    gen.add_argument("--workers", type=int)
 
-    tr = sub.add_parser("train", help="train the surrogate on a dataset")
-    common(tr)
+    tr = command("train", "train the surrogate on a dataset")
+    tr.add_argument("--scale", choices=_SCALES, default="desk")
     tr.add_argument("--data", type=Path, required=True)
     tr.add_argument("--out", type=Path, required=True)
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--batch-size", type=int)
-    tr.add_argument("--lr", type=float)
-    tr.add_argument("--points", type=int)
-    tr.add_argument("--steps-per-sample", type=int)
-    tr.add_argument("--test-fraction", type=float)
-    tr.add_argument("--no-augment", action="store_true")
-    tr.add_argument("--sequential", action="store_true", help="bit-reproducible reductions")
     tr.add_argument("--init-checkpoint", type=Path, help="fine-tune from this checkpoint")
 
-    ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    common(ev)
+    ev = command("eval", "evaluate a checkpoint on a dataset")
     ev.add_argument("--checkpoint", type=Path, required=True)
     ev.add_argument("--data", type=Path, required=True)
     ev.add_argument("--out", type=Path)
-    ev.add_argument("--sequential", action="store_true")
 
-    inf = sub.add_parser("infer", help="predict a solution grid for a DSL equation")
-    common(inf)
+    inf = command("infer", "predict a solution grid for a DSL equation")
     inf.add_argument("--checkpoint", type=Path, required=True)
     inf.add_argument("--pde", type=str, required=True, help='e.g. "dt(u) + c*dx(u) = 0"')
-    inf.add_argument("--coef", action="append", metavar="NAME=VALUE")
     inf.add_argument("--ic", type=Path, required=True, help="CSV file with n_x initial values")
     inf.add_argument("--out", type=Path, required=True, help="CSV file for the prediction grid")
-    inf.add_argument("--nt", type=int)
 
-    inv = sub.add_parser("invert", help="recover coefficients from one observation")
-    common(inv)
+    inv = command("invert", "recover coefficients from one observation")
     inv.add_argument("--checkpoint", type=Path, required=True)
     inv.add_argument("--data", type=Path, required=True)
-    inv.add_argument("--sample-index", type=int)
-    inv.add_argument("--noise", type=float)
-    inv.add_argument("--swarm", type=int)
-    inv.add_argument("--iterations", type=int)
-    inv.add_argument("--subsample", type=int)
     inv.add_argument("--out", type=Path)
 
-    pl = sub.add_parser("export-plot", help="render a sample as an SVG heatmap")
-    common(pl)
+    pl = command("export-plot", "render a sample as an SVG heatmap")
     pl.add_argument("--data", type=Path, required=True)
-    pl.add_argument("--sample-index", type=int)
     pl.add_argument("--out", type=Path, required=True)
     return parser
 
 
-def _load_config_file(path: Path | None, command: str, known: set[str]) -> dict:
-    if path is None:
-        return {}
+def _load_config_file(path: Path, command: str) -> dict:
     doc = json.loads(Path(path).read_text())
     section = doc.get(command, doc) if isinstance(doc, dict) else None
     if not isinstance(section, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
+    known = {flag[2:].replace("-", "_") for flag, _ in _OPTIONS[command]} | set(_SECTIONS.get(command, {}))
     unknown = set(section) - known
     if unknown:
         raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
     return section
 
 
-def _merged(args, defaults: dict, key: str, fallback):
-    explicit = getattr(args, key.replace("-", "_"), None)
-    if explicit is not None and explicit is not False:
-        return explicit
-    if key in defaults:
-        return defaults[key]
-    return fallback
-
-
-def _overrides(args, defaults: dict, fields: dict[str, str]) -> dict:
-    """Config-field updates (flag key -> field name) for the keys set by a
-    flag or the config file; unset keys keep the dataclass default."""
-    updates = {}
-    for key, fname in fields.items():
-        val = _merged(args, defaults, key, None)
-        if val is not None:
-            updates[fname] = val
-    return updates
-
-
-def _model_cfg(scale: str) -> ModelConfig:
-    return PAPER_MODEL if scale == "paper" else DESK_MODEL
+def _sample(bundle, index: int):
+    if not 0 <= index < len(bundle.samples):
+        raise UsageError(f"--sample-index {index} is outside the dataset's {len(bundle.samples)} samples")
+    return bundle.samples[index]
 
 
 def _echo_config(out_dir: Path, command: str, doc: dict) -> None:
@@ -141,43 +145,27 @@ def _echo_config(out_dir: Path, command: str, doc: dict) -> None:
 def _cmd_gen(args) -> int:
     from .datagen import generate_dataset
 
-    defaults = _load_config_file(args.config, "gen", {"count", "seed", "workers", "sampling", "solver"})
-    count = _merged(args, defaults, "count", 10)
-    if count < 1:
-        raise UsageError(f"count must be at least 1, got {count}")
-    seed = _merged(args, defaults, "seed", 0)
-    workers = _merged(args, defaults, "workers", 1)
-    sampling = SamplingConfig(**defaults.get("sampling", {}))
-    solver = SolverConfig(**defaults.get("solver", {}))
-    generate_dataset(args.out, count=count, base_seed=seed, sampling=sampling,
-                     solver_cfg=solver, workers=workers)
-    _echo_config(args.out, "gen", {"count": count, "seed": seed, "workers": workers,
+    if args.count < 1:
+        raise UsageError(f"count must be at least 1, got {args.count}")
+    sampling = SamplingConfig(**args.sampling)
+    solver = SolverConfig(**args.solver)
+    generate_dataset(args.out, count=args.count, base_seed=args.seed, sampling=sampling,
+                     solver_cfg=solver, workers=args.workers)
+    _echo_config(args.out, "gen", {"count": args.count, "seed": args.seed, "workers": args.workers,
                                    "sampling": config_as_dict(sampling), "solver": config_as_dict(solver)})
-    print(f"wrote {count} samples to {args.out}")
+    print(f"wrote {args.count} samples to {args.out}")
     return 0
-
-
-def _train_cfg_from(args, defaults: dict) -> TrainConfig:
-    cfg = TrainConfig(seed=_merged(args, defaults, "seed", 0))
-    updates = _overrides(args, defaults, {
-        "epochs": "epochs", "batch_size": "batch_size", "lr": "base_lr", "points": "points_per_sample",
-        "steps_per_sample": "steps_per_sample", "test_fraction": "test_fraction"})
-    if getattr(args, "no_augment", False) or defaults.get("no_augment"):
-        updates["augment"] = False
-    if getattr(args, "sequential", False) or defaults.get("sequential"):
-        updates["sequential"] = True
-    return dataclasses.replace(cfg, **updates)
 
 
 def _cmd_train(args) -> int:
     from .dataio import load_checkpoint, read_dataset
     from .training import train
 
-    known = {"seed", "epochs", "batch_size", "lr", "points", "steps_per_sample",
-             "test_fraction", "no_augment", "sequential"}
-    defaults = _load_config_file(args.config, "train", known)
-    model_cfg = _model_cfg(args.scale)
-    cfg = _train_cfg_from(args, defaults)
+    model_cfg = _SCALES[args.scale]
+    cfg = TrainConfig(seed=args.seed, epochs=args.epochs, batch_size=args.batch_size, base_lr=args.lr,
+                      points_per_sample=args.points, steps_per_sample=args.steps_per_sample,
+                      test_fraction=args.test_fraction, augment=not args.no_augment,
+                      sequential=bool(args.sequential))
     bundle = read_dataset(args.data)
     initial = None
     if args.init_checkpoint is not None:
@@ -193,11 +181,9 @@ def _cmd_eval(args) -> int:
     from .dataio import load_checkpoint, read_dataset
     from .training import evaluate
 
-    defaults = _load_config_file(args.config, "eval", {"sequential"})
-    sequential = _merged(args, defaults, "sequential", False)
     params, model_cfg, _, _ = load_checkpoint(args.checkpoint)
     bundle = read_dataset(args.data)
-    with ad.sequential_mode() if sequential else contextlib.nullcontext():
+    with ad.sequential_mode() if args.sequential else contextlib.nullcontext():
         metrics = evaluate(params, model_cfg, bundle.samples)
     doc = {"mean_relative_l2": metrics["mean"], "per_sample": metrics["per_sample"]}
     if args.out:
@@ -212,18 +198,16 @@ def _cmd_infer(args) -> int:
     from .dsl import parse_pde
     from .model import predict_grid
 
-    defaults = _load_config_file(args.config, "infer", {"coef", "nt"})
     params, model_cfg, _, _ = load_checkpoint(args.checkpoint)
     coefficients = {}
-    for item in _merged(args, defaults, "coef", []):
+    for item in args.coef:
         if "=" not in item:
             raise UsageError(f"--coef expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         coefficients[name.strip()] = float(value)
     ast = parse_pde(args.pde, coefficients)
     ic = np.loadtxt(args.ic, delimiter=",", dtype=np.float64).ravel()
-    n_t = _merged(args, defaults, "nt", 101)
-    grid = predict_grid(ast, ic.astype(np.float32), params, model_cfg, n_t=n_t)
+    grid = predict_grid(ast, ic.astype(np.float32), params, model_cfg, n_t=args.nt)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     np.savetxt(args.out, grid, delimiter=",", fmt="%.9g")
     print(f"wrote {grid.shape[0]}x{grid.shape[1]} prediction grid to {args.out}")
@@ -232,22 +216,16 @@ def _cmd_infer(args) -> int:
 
 def _cmd_invert(args) -> int:
     from .dataio import load_checkpoint, read_dataset
-    from .inverse import InverseProblem, add_noise, build_inverse_template, recover_coefficients, save_report
+    from .inverse import add_noise, build_inverse_template, recover_coefficients, save_report
 
-    defaults = _load_config_file(args.config, "invert",
-                                 {"seed", "sample_index", "noise", "swarm", "iterations", "subsample"})
-    seed = _merged(args, defaults, "seed", 0)
-    noise = _merged(args, defaults, "noise", 0.0)
     params, model_cfg, _, _ = load_checkpoint(args.checkpoint)
-    bundle = read_dataset(args.data)
-    sample = bundle.samples[_merged(args, defaults, "sample_index", 0)]
+    sample = _sample(read_dataset(args.data), args.sample_index)
     template, names = build_inverse_template(sample.coefficients)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    observation = add_noise(sample.solution.astype(np.float64), noise, rng)
-    problem = InverseProblem(template=template, observation=observation, noise_level=noise,
-                             **_overrides(args, defaults, {"subsample": "subsample"}))
-    pso = dataclasses.replace(PsoConfig(seed=seed), **_overrides(
-        args, defaults, {"swarm": "swarm_size", "iterations": "iterations"}))
+    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
+    observation = add_noise(sample.solution.astype(np.float64), args.noise, rng)
+    problem = InverseProblem(template=template, observation=observation, noise_level=args.noise,
+                             subsample=args.subsample)
+    pso = PsoConfig(swarm_size=args.swarm, iterations=args.iterations, seed=args.seed)
     report = recover_coefficients(problem, params, model_cfg, pso)
     truth = {name: float(sample.coefficients.c[int(name[1]), int(name[2])]) for name in names if name != "nu"}
     print(f"objective {report.objective:.6f}")
@@ -265,10 +243,7 @@ def _cmd_export_plot(args) -> int:
     from .dataio import read_dataset
     from .plotting import export_heatmap
 
-    defaults = _load_config_file(args.config, "export-plot", {"sample_index"})
-    bundle = read_dataset(args.data)
-    sample = bundle.samples[_merged(args, defaults, "sample_index", 0)]
-    export_heatmap(sample.solution, args.out)
+    export_heatmap(_sample(read_dataset(args.data), args.sample_index).solution, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -294,6 +269,9 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
+        if args.config is not None:
+            config = {args.command: _load_config_file(args.config, args.command)}
+            args = build_parser(config).parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

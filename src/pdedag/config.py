@@ -101,7 +101,6 @@ class TrainConfig:
     test_fraction: float = 0.1
     grad_clip: float | None = None
     augment: bool = True
-    eval_every: int = 0      # 0 disables test-split evaluation during training
     sequential: bool = False  # bit-reproducible reductions (slower)
 
 

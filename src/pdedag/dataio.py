@@ -178,6 +178,13 @@ def save_checkpoint(out_dir, params, model_cfg, opt_state: dict | None = None, e
     return out
 
 
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise CorruptFile(path, "missing file") from None
+
+
 def load_checkpoint(path):
     """Returns (ModelParams, ModelConfig, manifest, opt_state | None)."""
     from .config import ModelConfig
@@ -192,7 +199,7 @@ def load_checkpoint(path):
     cfg_dict = dict(manifest["model_config"])
     cfg = ModelConfig(**cfg_dict)
     params = init_model_params(cfg, seed=0)
-    blob = (root / "params.bin").read_bytes()
+    blob = _read_bytes(root / "params.bin")
     flat = np.frombuffer(blob, dtype="<f4")
     if flat.size != params.n_params():
         raise CorruptFile(root / "params.bin", f"expected {params.n_params()} values, found {flat.size}")
@@ -207,7 +214,7 @@ def load_checkpoint(path):
     if opt_json.exists():
         info = json.loads(opt_json.read_text())
         _check_version(info.get("format_version"), opt_json)
-        raw = np.frombuffer((root / "opt_state.bin").read_bytes(), dtype="<f4")
+        raw = np.frombuffer(_read_bytes(root / "opt_state.bin"), dtype="<f4")
         n = int(info["n_params"])
         if raw.size != 2 * n:
             raise CorruptFile(root / "opt_state.bin", f"expected {2 * n} values, found {raw.size}")

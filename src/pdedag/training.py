@@ -156,7 +156,7 @@ def train(
 
     if not samples:
         raise ValueError("dataset is empty")
-    train_idx, test_idx = split_indices(len(samples), cfg.test_fraction)
+    train_idx, _ = split_indices(len(samples), cfg.test_fraction)
     if not train_idx:
         raise ValueError("train split is empty; lower test_fraction")
     params = initial if initial is not None else init_model_params(model_cfg, seed=cfg.seed)
@@ -208,10 +208,7 @@ def train(
                         clip_gradients(params, cfg.grad_clip)
                     optimizer.step(lr)
                     epoch_loss += loss_value * len(batch) / chunk_count
-            row = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / len(order)}
-            if cfg.eval_every and test_idx and (epoch + 1) % cfg.eval_every == 0:
-                row["test_loss"] = evaluate(params, model_cfg, [samples[i] for i in test_idx])["mean"]
-            curve.append(row)
+            curve.append({"epoch": epoch, "lr": lr, "train_loss": epoch_loss / len(order)})
 
     result = TrainResult(params=params, curve=curve, final_train_loss=curve[-1]["train_loss"])
     if out_dir is not None:
@@ -226,13 +223,12 @@ def train(
 
 
 def write_loss_curve(path, curve: list[dict]) -> None:
-    has_test = any("test_loss" in row for row in curve)
-    fields = ["epoch", "lr", "train_loss"] + (["test_loss"] if has_test else [])
+    fields = ["epoch", "lr", "train_loss"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in curve:
-            writer.writerow([repr(row[k]) if isinstance(row[k], float) else row[k] for k in fields if k in row])
+            writer.writerow([repr(row[k]) if isinstance(row[k], float) else row[k] for k in fields])
 
 
 def evaluate(params: ModelParams, model_cfg: ModelConfig, samples: list[PdeSample], dt_data: float = 0.01) -> dict:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from pdedag import autodiff as ad
+from pdedag import cli
 from pdedag.cli import run_cli
-from pdedag.config import ModelConfig, SamplingConfig, SolverConfig
+from pdedag.config import ModelConfig, SamplingConfig, SolverConfig, TrainConfig, config_as_dict
 from pdedag.dataio import save_checkpoint
 from pdedag.datagen import generate_dataset
 from pdedag.model import init_model_params
@@ -84,12 +85,91 @@ def test_gen_takes_count_and_seed_from_the_config_file(tmp_path):
     assert (echoed["count"], echoed["seed"]) == (1, 5)
 
 
-@pytest.mark.parametrize("command", ["eval", "infer", "invert", "export-plot"])
+def test_gen_takes_its_sampling_and_solver_sections_from_the_config_file(tmp_path):
+    sampling = SamplingConfig(zero_prob=0.25)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gen": {"count": 1, "sampling": {"zero_prob": 0.25},
+                                       "solver": {"n_x": 64, "n_t": 11}}}))
+    assert run_cli(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    echoed = json.loads((tmp_path / "o" / "effective_config.json").read_text())["config"]
+    assert (echoed["sampling"], echoed["solver"]) == (config_as_dict(sampling), config_as_dict(SMALL))
+
+
+# placeholder paths: the tests that use them fail while parsing or replace the command
+_ARGV = {
+    "gen": ["--out", "o"],
+    "train": ["--data", "d", "--out", "o"],
+    "eval": ["--checkpoint", "c", "--data", "d"],
+    "infer": ["--checkpoint", "c", "--pde", "dt(u) = 0", "--ic", "i", "--out", "o"],
+    "invert": ["--checkpoint", "c", "--data", "d"],
+    "export-plot": ["--data", "d", "--out", "o"],
+}
+
+
+def _parsed_args(monkeypatch, argv):
+    seen = []
+
+    def fake_command(args):
+        seen.append(args)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], fake_command)
+    assert run_cli(argv) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, opts in cli._OPTIONS.items() for f, _ in opts])
+def test_every_config_key_reaches_its_command_and_the_flag_wins(monkeypatch, tmp_path, command, flag):
+    kwargs = dict(cli._OPTIONS[command])[flag]
+    key = flag[2:].replace("-", "_")
+    action = kwargs.get("action")
+    if action == "store_true":  # a flag can only switch it on, over a file's false
+        in_file, under_flag, flag_argv, flagged = True, False, [flag], True
+    elif action == "append":  # flags add to the file's list
+        in_file, under_flag, flag_argv, flagged = ["c=1"], ["c=1"], [flag, "c=2"], ["c=1", "c=2"]
+    else:
+        in_file, flag_value = {int: (3, 5), float: (0.25, 0.5)}[kwargs["type"]]
+        under_flag, flag_argv, flagged = in_file, [flag, str(flag_value)], flag_value
+    assert in_file != kwargs.get("default", False)
+    cfg = tmp_path / "cfg.json"
+    argv = [command, "--config", str(cfg)] + _ARGV[command]
+    cfg.write_text(json.dumps({command: {key: in_file}}))
+    assert getattr(_parsed_args(monkeypatch, argv), key) == in_file
+    cfg.write_text(json.dumps({command: {key: under_flag}}))
+    assert getattr(_parsed_args(monkeypatch, argv + flag_argv), key) == flagged
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("gen", "--scale"), ("eval", "--scale"), ("infer", "--scale"), ("invert", "--scale"),
+    ("export-plot", "--scale"), ("eval", "--seed"), ("infer", "--seed"), ("export-plot", "--seed")])
+def test_flags_no_command_reads_are_gone(capsys, command, flag):
+    value = "paper" if flag == "--scale" else "1"
+    assert run_cli([command, flag, value] + _ARGV[command]) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_train_takes_every_setting_from_the_config_file(tmp_path, tiny_dataset):
+    ckpt = save_checkpoint(tmp_path / "ckpt", init_model_params(TINY_MODEL, seed=0), TINY_MODEL)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {
+        "seed": 3, "epochs": 2, "batch_size": 1, "lr": 1e-3, "points": 16, "steps_per_sample": 2,
+        "test_fraction": 0.5, "no_augment": True, "sequential": True}}))
+    argv = ["train", "--config", str(cfg), "--data", str(tiny_dataset), "--out", str(tmp_path / "run"),
+            "--init-checkpoint", str(ckpt), "--epochs", "1"]
+    assert run_cli(argv) == 0
+    echoed = json.loads((tmp_path / "run" / "effective_config.json").read_text())["config"]
+    assert echoed["train"] == config_as_dict(TrainConfig(
+        seed=3, epochs=1, batch_size=1, base_lr=1e-3, points_per_sample=16, steps_per_sample=2,
+        test_fraction=0.5, augment=False, sequential=True))
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "infer", "invert", "export-plot"])
 def test_config_file_unknown_key_rejected_by_every_command(tmp_path, tiny_dataset, command):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({command: {"bogus_key": 1}}))
     ckpt = save_checkpoint(tmp_path / "ckpt", init_model_params(TINY_MODEL, seed=0), TINY_MODEL)
     argv = {
+        "train": ["--data", str(tiny_dataset), "--out", str(tmp_path / "run")],
         "eval": ["--checkpoint", str(ckpt), "--data", str(tiny_dataset)],
         "infer": ["--checkpoint", str(ckpt), "--pde", "dt(u) = 0", "--ic", str(tmp_path / "ic.csv"),
                   "--out", str(tmp_path / "p.csv")],
@@ -137,6 +217,18 @@ def test_invert_reads_its_config_file_and_flags_win(monkeypatch, tmp_path, tiny_
                                   ["--config", str(cfg), "--iterations", "7"])
     assert problem.subsample == 200 and problem.noise_level == 0.01
     assert pso.iterations == 7
+
+
+@pytest.mark.parametrize("command", ["invert", "export-plot"])
+@pytest.mark.parametrize("index", ["2", "7", "-1"])
+def test_sample_index_outside_the_dataset_is_a_usage_error(tmp_path, tiny_dataset, capsys, command, index):
+    ckpt = save_checkpoint(tmp_path / "ckpt", init_model_params(TINY_MODEL, seed=0), TINY_MODEL)
+    argv = {"invert": ["--checkpoint", str(ckpt), "--data", str(tiny_dataset)],
+            "export-plot": ["--data", str(tiny_dataset), "--out", str(tmp_path / "p.svg")]}[command]
+    assert run_cli([command, "--sample-index", index] + argv) == 1
+    err = capsys.readouterr().err
+    assert f"--sample-index {index} is outside" in err and "2 samples" in err
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_export_plot(tmp_path, tiny_dataset):
@@ -198,3 +290,26 @@ def test_infer_bad_coef_flag_is_usage_error(tmp_path):
     code = run_cli(["infer", "--checkpoint", str(ckpt), "--pde", "dt(u) = 0",
                     "--coef", "oops", "--ic", str(ic_path), "--out", str(tmp_path / "p.csv")])
     assert code == 1
+
+
+def test_infer_coef_flags_win_per_name_over_the_config_list(monkeypatch, tmp_path):
+    import pdedag.dsl as dsl
+
+    seen = []
+    real_parse = dsl.parse_pde
+
+    def recording_parse(text, coefficients):
+        seen.append(coefficients)
+        return real_parse(text, coefficients)
+
+    monkeypatch.setattr(dsl, "parse_pde", recording_parse)
+    ckpt = save_checkpoint(tmp_path / "ckpt", init_model_params(TINY_MODEL, seed=0), TINY_MODEL)
+    ic_path = tmp_path / "ic.csv"
+    np.savetxt(ic_path, np.zeros((1, TINY_MODEL.n_x)), delimiter=",")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"infer": {"coef": ["c=0.1", "d=0.2"]}}))
+    argv = ["infer", "--checkpoint", str(ckpt), "--pde", "dt(u) + c*dx(u) + d*u = 0", "--ic", str(ic_path),
+            "--out", str(tmp_path / "p.csv"), "--nt", "2"]
+    assert run_cli(argv + ["--config", str(cfg)]) == 0
+    assert run_cli(argv + ["--config", str(cfg), "--coef", "c=0.5"]) == 0
+    assert seen == [{"c": 0.1, "d": 0.2}, {"c": 0.5, "d": 0.2}]

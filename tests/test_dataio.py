@@ -100,6 +100,17 @@ def test_checkpoint_wrong_size_raises(tmp_path, small_cfg):
         load_checkpoint(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["params.bin", "opt_state.bin"])
+def test_checkpoint_missing_payload_is_corrupt(tmp_path, small_cfg, name):
+    params = init_model_params(small_cfg, seed=4)
+    zeros = np.zeros(params.n_params(), dtype=np.float32)
+    save_checkpoint(tmp_path, params, small_cfg, opt_state={"m": zeros, "v": zeros, "step": 1})
+    (tmp_path / name).unlink()
+    with pytest.raises(CorruptFile, match="missing file") as exc:
+        load_checkpoint(tmp_path)
+    assert exc.value.path == str(tmp_path / name)
+
+
 def test_effective_config_written(tmp_path):
     path = write_effective_config(tmp_path, {"command": "gen", "config": {"count": 3}})
     doc = json.loads(path.read_text())
